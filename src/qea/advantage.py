@@ -14,7 +14,10 @@ All comparisons run on log-runtimes so exponential classical laws never
 overflow.  Thresholds solve in closed form when both laws are
 polynomial on simple-mode hardware, and by bisection in log N
 otherwise; the continuous answer is then snapped so that its ceiling is
-exactly the smallest advantageous integer.
+exactly the smallest advantageous integer.  Feasible sizes work the
+same way in simple mode: both limits are monomials in N, so each is
+solved in closed form and snapped against its own fits predicate; in
+surface-code mode they are searched.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ _LOG_N_MAX = 256.0
 # Integer snapping is only meaningful (and affordable) while one unit of
 # N still moves the log-runtime gap by more than float resolution.
 _SNAP_LIMIT = 1e9
+
+# ln N beyond which a size estimate is past SIZE_CAP (e^40 ~ 2.4e17).
+_LOG_SIZE_CEILING = 40.0
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,11 @@ def _check_pair(classical: AlgorithmSpec, quantum: AlgorithmSpec) -> None:
         raise DomainError(f"{quantum.name!r} is not a quantum method")
 
 
+def _check_year(year: float) -> None:
+    if not math.isfinite(year):
+        raise DomainError(f"year must be finite, got {year!r}")
+
+
 def qea_threshold(
     classical: AlgorithmSpec, quantum: AlgorithmSpec, year: float, scenario: Scenario
 ) -> float | None:
@@ -122,6 +133,7 @@ def qea_threshold(
     or None when no such size exists (the quantum law grows at least as
     fast and is costlier per-operation already at N = 1)."""
     _check_pair(classical, quantum)
+    _check_year(year)
 
     def gap(n: float) -> float:
         return log_quantum_seconds(quantum, n, year, scenario) - log_classical_seconds(
@@ -196,6 +208,12 @@ def _largest_true(predicate, cap: int = SIZE_CAP) -> int:
         if predicate(cap):
             return cap
         hi = cap
+    return _bisect_largest(predicate, lo, hi)
+
+
+def _bisect_largest(predicate, lo: int, hi: int) -> int:
+    """Largest N in [lo, hi) satisfying a monotone predicate that holds
+    at lo and fails at hi."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if predicate(mid):
@@ -205,6 +223,64 @@ def _largest_true(predicate, cap: int = SIZE_CAP) -> int:
     return lo
 
 
+def _snap_largest(predicate, estimate: float) -> int:
+    """_largest_true(predicate), searched outward from a real-valued
+    estimate of the answer.
+
+    Steps of 1, 2, 4, ... away from floor(estimate) bracket the answer,
+    then bisection pins it, so an estimate k units off costs about
+    2 log2(k) + 2 predicate calls.  The answer rests on the predicate
+    alone; the estimate only sets where the search starts.
+    """
+    if math.isnan(estimate):
+        estimate = 1.0
+    n = int(min(max(estimate, 1.0), SIZE_CAP))
+    step = 1
+    if predicate(n):
+        while n < SIZE_CAP:
+            hi = min(n + step, SIZE_CAP)
+            if not predicate(hi):
+                return _bisect_largest(predicate, n, hi)
+            n, step = hi, step * 2
+        return SIZE_CAP
+    while n > 1:
+        lo = max(n - step, 1)
+        if predicate(lo):
+            return _bisect_largest(predicate, lo, n)
+        n, step = lo, step * 2
+    return 0
+
+
+def _monomial_size(log_room: float, exponent: float) -> float:
+    """Real N with exponent * ln N = log_room: where a monomial limit
+    c N^a <= budget binds, given log_room = ln(budget / c)."""
+    if exponent == 0:
+        return math.inf if log_room >= 0 else 0.0
+    return math.exp(min(log_room / exponent, _LOG_SIZE_CEILING))
+
+
+def _solvable_in_closed_form(law, scenario: Scenario) -> bool:
+    # Simple-mode hardware does not depend on the workload, so a
+    # polynomial law leaves each limit a plain monomial in N.
+    return scenario.quantum.mode == "simple" and law.exp_base == 1
+
+
+def _deadline_fits(quantum: AlgorithmSpec, year: float, log_deadline: float, scenario: Scenario):
+    def fits(n: int) -> bool:
+        return log_quantum_seconds(quantum, float(n), year, scenario) <= log_deadline
+
+    return fits
+
+
+def _qubit_fits(quantum: AlgorithmSpec, year: float, scenario: Scenario):
+    def fits(n: int) -> bool:
+        need = quantum.qubit_law.value(n, 1.0)
+        t_count = quantum.cost_law.value(n, scenario.epsilon)
+        return need <= available_logical_qubits(scenario.quantum, year, t_count)
+
+    return fits
+
+
 def deadline_limited_size(
     quantum: AlgorithmSpec, year: float, deadline_s: float, scenario: Scenario
 ) -> int:
@@ -212,14 +288,16 @@ def deadline_limited_size(
     none does."""
     if quantum.kind != "quantum":
         raise DomainError(f"{quantum.name!r} is not a quantum method")
+    _check_year(year)
     if not deadline_s > 0:
         raise DomainError("deadline_s must be > 0")
     log_deadline = math.log(deadline_s)
-
-    def fits(n: int) -> bool:
-        return log_quantum_seconds(quantum, float(n), year, scenario) <= log_deadline
-
-    return _largest_true(fits)
+    fits = _deadline_fits(quantum, year, log_deadline, scenario)
+    if not _solvable_in_closed_form(quantum.cost_law, scenario):
+        return _largest_true(fits)
+    # ln seconds(N) = ln seconds(1) + a ln N.
+    log_room = log_deadline - log_quantum_seconds(quantum, 1.0, year, scenario)
+    return _snap_largest(fits, _monomial_size(log_room, quantum.cost_law.size_exponent))
 
 
 def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> int:
@@ -231,16 +309,21 @@ def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) 
     """
     if quantum.kind != "quantum":
         raise DomainError(f"{quantum.name!r} is not a quantum method")
-
-    def fits(n: int) -> bool:
-        need = quantum.qubit_law.value(n, 1.0)
-        t_count = quantum.cost_law.value(n, scenario.epsilon)
-        return need <= available_logical_qubits(scenario.quantum, year, t_count)
-
-    return _largest_true(fits)
+    _check_year(year)
+    fits = _qubit_fits(quantum, year, scenario)
+    law = quantum.qubit_law
+    if not _solvable_in_closed_form(law, scenario):
+        return _largest_true(fits)
+    # Simple mode ignores the T-count; the supply is one number a year.
+    supply = available_logical_qubits(scenario.quantum, year, 1.0)
+    log_room = (math.log(supply) if supply > 0 else -math.inf) - math.log(law.constant)
+    return _snap_largest(fits, _monomial_size(log_room, law.size_exponent))
 
 
 def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> FeasibilityEnvelope:
+    """Both size limits for one quantum method in one year: closed form
+    and integer snap in simple mode, doubling-and-bisection search in
+    surface-code mode (where the code distance moves with N)."""
     qubit_n = qubit_limited_size(quantum, year, scenario)
     deadline_n = deadline_limited_size(quantum, year, scenario.deadline_s, scenario)
     return FeasibilityEnvelope(
@@ -287,12 +370,27 @@ def first_advantage_year(
     reports what blocked the last infeasible year ("none" when the very
     first year is already feasible).
     """
+    return _scan_years(classical, quantum, scenario, {})
+
+
+def _scan_years(
+    classical: AlgorithmSpec,
+    quantum: AlgorithmSpec,
+    scenario: Scenario,
+    envelopes: dict[int, FeasibilityEnvelope],
+) -> DisruptionResult:
+    """The year scan of first_advantage_year.  `envelopes` maps year to
+    envelope for this quantum method and scenario; the scan reads it and
+    adds what it builds, so tables that pass one dict per quantum column
+    build each envelope once however many rows scan it."""
     _check_pair(classical, quantum)
     last_block = None
     any_threshold = False
     for year in scenario.years():
         threshold = qea_threshold(classical, quantum, year, scenario)
-        envelope = feasibility_envelope(quantum, year, scenario)
+        envelope = envelopes.get(year)
+        if envelope is None:
+            envelope = envelopes[year] = feasibility_envelope(quantum, year, scenario)
         if threshold is not None:
             any_threshold = True
             if math.ceil(threshold) <= envelope.max_feasible_n:

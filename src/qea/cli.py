@@ -34,7 +34,7 @@ from .chem import (
     parse_molecule,
 )
 from .cost import flop_adjusted_constant, naive_t_gate_estimate
-from .advantage import deadline_limited_size, qea_threshold, qubit_limited_size
+from .advantage import feasibility_envelope, qea_threshold
 from .errors import CalibrationError, DomainError, QeaError
 from .report import (
     curve_csv,
@@ -237,21 +237,18 @@ def feasible(scenario_path, quantum, year, fmt, out):
     """Feasibility envelope (qubit and deadline limits) for one year."""
     scenario = _get_scenario(scenario_path)
     _warn_backward(year)
-    spec = scenario.algorithm(quantum)
-    qubit_n = qubit_limited_size(spec, year, scenario)
-    deadline_n = deadline_limited_size(spec, year, scenario.deadline_s, scenario)
-    max_n = min(qubit_n, deadline_n)
+    env = feasibility_envelope(scenario.algorithm(quantum), year, scenario)
     text = (
-        f"qubit_limited_n: {qubit_n}\n"
-        f"deadline_limited_n: {deadline_n}\n"
-        f"max_feasible_n: {max_n}\n"
+        f"qubit_limited_n: {env.qubit_limited_n}\n"
+        f"deadline_limited_n: {env.deadline_limited_n}\n"
+        f"max_feasible_n: {env.max_feasible_n}\n"
     )
     _emit(
         _scalar(
             fmt,
             scenario,
             ["year", "qubit_limited_n", "deadline_limited_n", "max_feasible_n"],
-            [repr(year), str(qubit_n), str(deadline_n), str(max_n)],
+            [repr(year), str(env.qubit_limited_n), str(env.deadline_limited_n), str(env.max_feasible_n)],
             text.rstrip("\n"),
         ),
         out,

@@ -75,7 +75,17 @@ class ExponentialTrend:
             raise DomainError(f"annual_factor must be > 0, got {self.annual_factor}")
 
     def value(self, year: float) -> float:
-        return self.base_value * self.annual_factor ** (year - self.base_year)
+        """The trend at `year`; DomainError where it passes float range."""
+        try:
+            value = self.base_value * self.annual_factor ** (year - self.base_year)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise DomainError(
+                f"trend {self.base_value:g} x {self.annual_factor:g}/yr from {self.base_year:g} "
+                f"passes float range in year {year:g}"
+            )
+        return value
 
 
 def trend_value(trend: ExponentialTrend, year: float) -> float:

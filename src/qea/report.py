@@ -25,10 +25,9 @@ from .advantage import (
     BEYOND_HORIZON,
     NEVER,
     DisruptionResult,
-    deadline_limited_size,
-    first_advantage_year,
+    _scan_years,
+    feasibility_envelope,
     qea_threshold,
-    qubit_limited_size,
 )
 from .catalog import canonical_name
 from .errors import DomainError
@@ -47,6 +46,10 @@ __all__ = [
 ]
 
 BASELINE_COLUMN = "baseline"
+
+# Most rows one curve series may hold; each row is a threshold solve and
+# an envelope, so an unbounded series would run without end.
+MAX_CURVE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,13 @@ def disruption_table(
         raise DomainError("method lists must be nonempty")
     q_names = tuple(canonical_name(q) for q in quantum_methods)
     c_names = tuple(canonical_name(c) for c in classical_methods)
+    q_specs = {q: scenario.algorithm(q) for q in q_names}
+    envelopes = {q: {} for q in q_names}
     cells = {}
     for c in c_names:
+        c_spec = scenario.algorithm(c)
         for q in q_names:
-            cells[(c, q)] = first_advantage_year(scenario.algorithm(c), scenario.algorithm(q), scenario)
+            cells[(c, q)] = _scan_years(c_spec, q_specs[q], scenario, envelopes[q])
     return DisruptionTable(c_names, q_names, cells, scenario)
 
 
@@ -113,10 +119,15 @@ def robustness_table(
     c_names = tuple(canonical_name(c) for c in classical_methods)
     columns = (BASELINE_COLUMN,) + tuple(v.name for v in variations)
     scenarios = [scenario] + [apply_variation(scenario, v) for v in variations]
+    q_specs = [s.algorithm(q_name) for s in scenarios]
+    # Variations change algorithm tunings only, never the hardware, so
+    # columns whose quantum spec is equal (baseline and classical-only
+    # variations) share one envelope memo.
+    envelopes = {spec: {} for spec in q_specs}
     cells = {}
     for c in c_names:
-        for column, s in zip(columns, scenarios):
-            cells[(c, column)] = first_advantage_year(s.algorithm(c), s.algorithm(q_name), s)
+        for column, s, q_spec in zip(columns, scenarios, q_specs):
+            cells[(c, column)] = _scan_years(s.algorithm(c), q_spec, s, envelopes[q_spec])
     return RobustnessTable(q_name, c_names, columns, cells, scenario)
 
 
@@ -129,30 +140,32 @@ def qea_curve_series(
     step: float = 1.0,
 ) -> list[CurvePoint]:
     """Threshold and envelope sampled over a year range (inclusive); a
-    zero-length range yields the single starting row."""
+    zero-length range yields the single starting row.  At most
+    MAX_CURVE_POINTS rows."""
+    if not (math.isfinite(year_from) and math.isfinite(year_to)):
+        raise DomainError("year_from and year_to must be finite")
     if year_from > year_to:
         raise DomainError("year_from must be <= year_to")
     if not step > 0:
         raise DomainError("step must be > 0")
+    steps = math.floor((year_to - year_from) / step + 1e-9)
+    if steps + 1 > MAX_CURVE_POINTS:
+        raise DomainError(f"curve would have {steps + 1} points, more than {MAX_CURVE_POINTS}; use a larger step")
     c_spec = scenario.algorithm(classical)
     q_spec = scenario.algorithm(quantum)
     points = []
-    steps = int(math.floor((year_to - year_from) / step + 1e-9))
     for i in range(steps + 1):
         year = year_from + i * step
         threshold = qea_threshold(c_spec, q_spec, year, scenario)
-        qubit_n = qubit_limited_size(q_spec, year, scenario)
-        deadline_n = deadline_limited_size(q_spec, year, scenario.deadline_s, scenario)
-        max_n = min(qubit_n, deadline_n)
-        nonempty = threshold is not None and math.ceil(threshold) <= max_n
+        envelope = feasibility_envelope(q_spec, year, scenario)
         points.append(
             CurvePoint(
                 year=year,
                 threshold_n=threshold,
-                qubit_limited_n=qubit_n,
-                deadline_limited_n=deadline_n,
-                max_feasible_n=max_n,
-                region_nonempty=nonempty,
+                qubit_limited_n=envelope.qubit_limited_n,
+                deadline_limited_n=envelope.deadline_limited_n,
+                max_feasible_n=envelope.max_feasible_n,
+                region_nonempty=threshold is not None and math.ceil(threshold) <= envelope.max_feasible_n,
             )
         )
     return points

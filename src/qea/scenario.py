@@ -439,6 +439,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         {k: v for k, v in data.items() if k in ("epsilon", "deadline_s", "start_year", "horizon")},
         "<top-level>",
     )
+    for key in ("epsilon", "deadline_s"):
+        if isinstance(data.get(key), float) and not math.isfinite(data[key]):
+            raise ScenarioError(f"{key} must be finite, got {data[key]!r}")
+    years = {}
+    for key in ("start_year", "horizon"):
+        if key in data:
+            value = data[key]
+            if not (isinstance(value, int) or value.is_integer()):
+                raise ScenarioError(f"{key} must be a whole year, got {value!r}")
+            years[key] = int(value)
     base = default_scenario()
 
     classical = base.classical
@@ -547,8 +557,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         return Scenario(
             epsilon=data.get("epsilon", base.epsilon),
             deadline_s=data.get("deadline_s", base.deadline_s),
-            start_year=data.get("start_year", base.start_year),
-            horizon=data.get("horizon", base.horizon),
+            start_year=years.get("start_year", base.start_year),
+            horizon=years.get("horizon", base.horizon),
             classical=classical,
             quantum=quantum,
             algorithms=algorithms,

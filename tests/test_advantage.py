@@ -99,6 +99,20 @@ class TestThreshold:
             qea_threshold(flat.algorithm("qpe-n3"), flat.algorithm("qpe-n2"), 2025, flat)
 
 
+@pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
+def test_non_finite_year_rejected(year):
+    s = default_scenario()
+    q = s.algorithm("qpe-n3")
+    with pytest.raises(DomainError):
+        qea_threshold(s.algorithm("CCSD"), q, year, s)
+    with pytest.raises(DomainError):
+        qubit_limited_size(q, year, s)
+    with pytest.raises(DomainError):
+        deadline_limited_size(q, year, s.deadline_s, s)
+    with pytest.raises(DomainError):
+        feasibility_envelope(q, year, s)
+
+
 class TestDeadlineLimit:
     def test_default_637(self, flat):
         # Exact integer oracle: largest N with N^3 * 1e3 <= 1e5 * 2592000.

@@ -93,6 +93,18 @@ class TestScalars:
         assert code == 0
         assert float(out.strip()) == pytest.approx(2.6e14, rel=0.02)
 
+    @pytest.mark.parametrize("command", [["threshold", "--classical", "CCSD"], ["feasible"]])
+    @pytest.mark.parametrize("year", ["nan", "inf", "-inf"])
+    def test_non_finite_year_exit_3(self, capsys, command, year):
+        code, out, err = run(capsys, *command, "--quantum", "qpe-n3", "--year", year)
+        assert code == 3
+        assert out == "" and "year must be finite" in err
+
+    def test_feasible_far_year_exit_3(self, capsys):
+        code, out, err = run(capsys, "feasible", "--quantum", "qpe-n3", "--year", "2900")
+        assert code == 3
+        assert out == "" and "float range in year 2900" in err
+
     def test_backward_year_warning(self, capsys):
         code, out, err = run(
             capsys, "threshold", "--classical", "CCSD", "--quantum", "qpe-n3", "--year", "2020"
@@ -129,6 +141,11 @@ class TestCurveAndRobustness:
         code, _, err = run(capsys, "robustness", "--vary", "transmogrify=2")
         assert code == 3
         assert "transmogrify" in err
+
+    def test_curve_too_many_points_exit_3(self, capsys):
+        code, out, err = run(capsys, "curve", "--classical", "FCI", "--quantum", "qpe-n3", "--step", "1e-7")
+        assert code == 3
+        assert out == "" and "points" in err
 
 
 class TestConvert:
@@ -178,6 +195,24 @@ class TestScenarioHandling:
         code, _, err = run(capsys, "table", "--scenario", str(path))
         assert code == 3
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize("doc", ['{"start_year": 2025.5}', '{"deadline_s": Infinity}'])
+    def test_bad_number_in_scenario_exit_3(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
+        assert code == 3
+        assert out == "" and "error" in err
+
+    def test_far_horizon_table_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(
+            json.dumps({"horizon": 3000, "quantum": {"logical_tgate_trend": {"annual_factor": 1.0}}}),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
+        assert code == 3
+        assert out == "" and "float range" in err
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "threshold", "--classical", "CCSD")  # missing options

@@ -1,0 +1,127 @@
+"""Feasibility envelopes: the simple-mode closed form against the search,
+and envelope sharing inside tables."""
+
+import collections
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+import qea.advantage as advantage
+from qea import (
+    AlgorithmSpec,
+    ComplexityModel,
+    Variation,
+    apply_variation,
+    default_scenario,
+    deadline_limited_size,
+    disruption_table,
+    first_advantage_year,
+    qubit_limited_size,
+    robustness_table,
+    standard_variations,
+)
+from qea.advantage import SIZE_CAP, _deadline_fits, _largest_true, _qubit_fits
+from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS
+
+from helpers import make_scenario
+
+log10 = st.floats(min_value=-12.0, max_value=25.0)
+exponent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0))
+
+
+def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year):
+    """A quantum method and a simple-mode scenario; sizes are log10."""
+    spec = AlgorithmSpec(
+        name="q",
+        kind="quantum",
+        cost_law=ComplexityModel(constant=10**cost_c, size_exponent=cost_a, inv_error_exponent=1.0),
+        qubit_law=ComplexityModel(constant=10**qubit_c, size_exponent=qubit_a),
+        initial_state_fidelity=0.5,
+    )
+    scenario = make_scenario(
+        tgate=(2025, 10**tgate, 2.5),
+        physical=(2024, 10**physical, 2.2),
+        ratio=(2025, 10**ratio, 1.0),
+        deadline_s=10**deadline,
+    )
+    return spec, scenario, year
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    qubit_c=st.floats(min_value=-3.0, max_value=4.0),
+    qubit_a=exponent,
+    cost_c=st.floats(min_value=-3.0, max_value=6.0),
+    cost_a=exponent,
+    physical=st.floats(min_value=-2.0, max_value=12.0),
+    ratio=st.floats(min_value=0.0, max_value=6.0),
+    tgate=st.floats(min_value=0.0, max_value=10.0),
+    deadline=log10,
+    year=st.integers(min_value=2000, max_value=2080),
+)
+# Exponent 0: every size fits (SIZE_CAP) or none does.
+@example(qubit_c=1.0, qubit_a=0.0, cost_c=0.0, cost_a=0.0, physical=5.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025)
+@example(qubit_c=4.0, qubit_a=0.0, cost_c=6.0, cost_a=0.0, physical=3.0, ratio=3.0, tgate=0.0, deadline=-6.0, year=2025)
+# Supply below one logical qubit.
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=-1.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025)
+# Deadline shorter than the N = 1 runtime.
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=5.0, ratio=3.0, tgate=0.0, deadline=-12.0, year=2025)
+# Both limits at SIZE_CAP, and just under it where float error is largest.
+@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=0.5, physical=12.0, ratio=0.0, tgate=10.0, deadline=25.0, year=2080)
+@example(qubit_c=0.0, qubit_a=1.0, cost_c=0.0, cost_a=1.0, physical=14.9, ratio=0.0, tgate=0.0, deadline=17.9, year=2024)
+def test_closed_form_sizes_equal_search(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year):
+    spec, scenario, year = _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year)
+    qubit_fits = _qubit_fits(spec, year, scenario)
+    deadline_fits = _deadline_fits(spec, year, math.log(scenario.deadline_s), scenario)
+    assert qubit_limited_size(spec, year, scenario) == _largest_true(qubit_fits)
+    assert deadline_limited_size(spec, year, scenario.deadline_s, scenario) == _largest_true(deadline_fits)
+
+
+def test_closed_form_edge_cases_land_where_named():
+    """The explicit examples above reach the cases they are there for."""
+    flat = _case(1.0, 0.0, 0.0, 0.0, 5.0, 3.0, 5.0, 6.0, 2025)
+    assert qubit_limited_size(flat[0], flat[2], flat[1]) == SIZE_CAP
+    assert deadline_limited_size(flat[0], flat[2], flat[1].deadline_s, flat[1]) == SIZE_CAP
+    blocked = _case(4.0, 0.0, 6.0, 0.0, 3.0, 3.0, 0.0, -6.0, 2025)
+    assert qubit_limited_size(blocked[0], blocked[2], blocked[1]) == 0
+    assert deadline_limited_size(blocked[0], blocked[2], blocked[1].deadline_s, blocked[1]) == 0
+    starved = _case(1.0, 1.0, 0.0, 3.0, -1.0, 3.0, 5.0, 6.0, 2025)
+    assert qubit_limited_size(starved[0], starved[2], starved[1]) == 0
+    rushed = _case(1.0, 1.0, 0.0, 3.0, 5.0, 3.0, 0.0, -12.0, 2025)
+    assert deadline_limited_size(rushed[0], rushed[2], rushed[1].deadline_s, rushed[1]) == 0
+    near_cap = _case(0.0, 1.0, 0.0, 1.0, 14.9, 0.0, 0.0, 17.9, 2024)
+    assert 10**14 < qubit_limited_size(near_cap[0], near_cap[2], near_cap[1]) < SIZE_CAP
+
+
+def _count_envelopes(monkeypatch):
+    counts = collections.Counter()
+    original = advantage.feasibility_envelope
+
+    def counting(quantum, year, scenario):
+        counts[(quantum, year)] += 1
+        return original(quantum, year, scenario)
+
+    monkeypatch.setattr(advantage, "feasibility_envelope", counting)
+    return counts
+
+
+def test_disruption_table_builds_each_envelope_once(monkeypatch):
+    s = default_scenario()
+    counts = _count_envelopes(monkeypatch)
+    table = disruption_table(s, list(QUANTUM_TABLE_METHODS), list(CLASSICAL_TABLE_METHODS))
+    assert counts and max(counts.values()) == 1
+    assert {q.name for q, _ in counts} == set(QUANTUM_TABLE_METHODS)
+    for (c, q), cell in table.cells.items():
+        assert cell == first_advantage_year(s.algorithm(c), s.algorithm(q), s)
+
+
+def test_robustness_table_builds_each_envelope_once(monkeypatch):
+    s = default_scenario()
+    variations = standard_variations() + [Variation(name="same", classical_time=1.0)]
+    counts = _count_envelopes(monkeypatch)
+    table = robustness_table(s, variations, "qpe-n3", ["HF", "CCSDT", "FCI"])
+    assert counts and max(counts.values()) == 1
+    for (c, column), cell in table.cells.items():
+        v = next((v for v in variations if v.name == column), None)
+        vs = s if v is None else apply_variation(s, v)
+        assert cell == first_advantage_year(vs.algorithm(c), vs.algorithm("qpe-n3"), vs)

@@ -1,5 +1,7 @@
 """Trend extrapolation, surface-code distance, and derived throughputs."""
 
+import math
+
 import pytest
 
 from qea import (
@@ -31,6 +33,12 @@ class TestTrend:
     @pytest.mark.parametrize("factor", [0.5, 1.0, 1.4, 3.7])
     def test_base_year_identity_exact(self, factor):
         assert trend_value(ExponentialTrend(2025, 1e5, factor), 2025) == 1e5
+
+    def test_far_year_overflow_is_a_domain_error(self):
+        trend = ExponentialTrend(2024, 1.1e3, 2.25)
+        with pytest.raises(DomainError, match="float range in year 2900"):
+            trend_value(trend, 2900)
+        assert math.isfinite(trend_value(trend, 2030))
 
     def test_backward_extrapolation(self):
         trend = ExponentialTrend(2025, 100.0, 2.0)

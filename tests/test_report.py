@@ -20,6 +20,7 @@ from qea import (
     verdict_key,
     verdict_text,
 )
+from qea.report import MAX_CURVE_POINTS
 
 
 class TestDisruptionTable:
@@ -154,3 +155,13 @@ class TestCurveSeries:
             qea_curve_series(s, "CCSD", "qpe-n3", 2030, 2025, 1)
         with pytest.raises(DomainError):
             qea_curve_series(s, "CCSD", "qpe-n3", 2025, 2030, 0)
+        for year_from, year_to in [(math.nan, 2030), (2025, math.inf), (-math.inf, 2030)]:
+            with pytest.raises(DomainError):
+                qea_curve_series(s, "CCSD", "qpe-n3", year_from, year_to, 1)
+
+    def test_point_count_is_capped(self):
+        s = default_scenario()
+        with pytest.raises(DomainError, match="points"):
+            qea_curve_series(s, "FCI", "qpe-n3", 2025, 2050, 1e-7)
+        with pytest.raises(DomainError, match="points"):
+            qea_curve_series(s, "FCI", "qpe-n3", 0, MAX_CURVE_POINTS, 1)

@@ -158,11 +158,22 @@ class TestFileFormat:
             {"quantum": {"mode": "annealer"}},
             {"quantum": {"logical_tgate_trend": {"annual_factor": "fast"}}},
             {"overrides": {"qpe-n3": {"constant": True}}},
+            {"start_year": 2025.5},
+            {"horizon": 2050.25},
+            {"horizon": float("inf")},
+            {"deadline_s": float("inf")},
+            {"epsilon": float("nan")},
         ],
     )
     def test_strict_rejects(self, doc):
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    def test_whole_float_years_load_as_int(self):
+        s = scenario_from_dict(json.loads('{"start_year": 2030.0, "horizon": 2040.0}'))
+        assert (s.start_year, s.horizon) == (2030, 2040)
+        assert type(s.start_year) is int and type(s.horizon) is int
+        assert list(s.years()) == list(range(2030, 2041))
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
