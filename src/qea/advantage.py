@@ -18,6 +18,15 @@ exactly the smallest advantageous integer.  Feasible sizes work the
 same way in simple mode: both limits are monomials in N, so each is
 solved in closed form and snapped against its own fits predicate; in
 surface-code mode they are searched.
+
+Every solve evaluates one closure from cost._log_seconds_kernel, which
+computes the N-free terms (law constants, eps, fidelity and, in simple
+mode, both throughputs) once per solve and gives values bit-identical to
+log_quantum_seconds - log_classical_seconds.  In surface-code mode the
+code distance, and so the quantum throughput, still moves with N; the
+bisection assumes a single sign change of the gap, so where a distance
+step makes the gap non-monotone it can return a later crossing than the
+first.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import AlgorithmSpec
-from .cost import log_classical_seconds, log_quantum_seconds
+from .cost import _log_seconds_kernel, log_quantum_seconds
 from .errors import DomainError
 from .hardware import available_logical_qubits
 from .scenario import Scenario
@@ -134,12 +143,7 @@ def qea_threshold(
     fast and is costlier per-operation already at N = 1)."""
     _check_pair(classical, quantum)
     _check_year(year)
-
-    def gap(n: float) -> float:
-        return log_quantum_seconds(quantum, n, year, scenario) - log_classical_seconds(
-            classical, n, year, scenario
-        )
-
+    gap = _log_seconds_kernel(quantum, year, scenario, classical)
     gap1 = gap(1.0)
     if gap1 <= 0:
         return 1.0
@@ -266,17 +270,21 @@ def _solvable_in_closed_form(law, scenario: Scenario) -> bool:
 
 
 def _deadline_fits(quantum: AlgorithmSpec, year: float, log_deadline: float, scenario: Scenario):
-    def fits(n: int) -> bool:
-        return log_quantum_seconds(quantum, float(n), year, scenario) <= log_deadline
-
-    return fits
+    log_seconds = _log_seconds_kernel(quantum, year, scenario)
+    return lambda n: log_seconds(float(n)) <= log_deadline
 
 
 def _qubit_fits(quantum: AlgorithmSpec, year: float, scenario: Scenario):
+    law, platform = quantum.qubit_law, scenario.quantum
+    if platform.mode == "simple":
+        # Simple mode ignores the T-count; the supply is one number a year.
+        supply = available_logical_qubits(platform, year, 1.0)
+        return lambda n: law.value(n, 1.0) <= supply
+
     def fits(n: int) -> bool:
-        need = quantum.qubit_law.value(n, 1.0)
+        need = law.value(n, 1.0)
         t_count = quantum.cost_law.value(n, scenario.epsilon)
-        return need <= available_logical_qubits(scenario.quantum, year, t_count)
+        return need <= available_logical_qubits(platform, year, t_count)
 
     return fits
 

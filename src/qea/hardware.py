@@ -75,12 +75,13 @@ class ExponentialTrend:
             raise DomainError(f"annual_factor must be > 0, got {self.annual_factor}")
 
     def value(self, year: float) -> float:
-        """The trend at `year`; DomainError where it passes float range."""
+        """The trend at `year`; DomainError where it passes float range,
+        above (overflow) or below (underflow to 0)."""
         try:
             value = self.base_value * self.annual_factor ** (year - self.base_year)
         except OverflowError:
             value = math.inf
-        if value == math.inf:
+        if value == math.inf or value == 0.0:
             raise DomainError(
                 f"trend {self.base_value:g} x {self.annual_factor:g}/yr from {self.base_year:g} "
                 f"passes float range in year {year:g}"

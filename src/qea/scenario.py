@@ -52,6 +52,9 @@ DEFAULT_EPSILON = 1e-3
 DEFAULT_DEADLINE_S = 2_592_000.0
 DEFAULT_START_YEAR = 2025
 DEFAULT_HORIZON = 2050
+# Widest scan window, horizon - start_year, in years.  Every table cell
+# scans the window a year at a time, so an unbounded one never ends.
+MAX_SCAN_YEARS = 1000
 
 # Calibrated annual factors (see module docstring).  The qubit factor is
 # the largest value consistent with the anchors (roadmap-optimistic),
@@ -119,6 +122,10 @@ class Scenario:
             raise DomainError("deadline_s must be > 0")
         if self.horizon < self.start_year:
             raise DomainError("horizon must be >= start_year")
+        if self.horizon - self.start_year > MAX_SCAN_YEARS:
+            raise DomainError(
+                f"scan window {self.start_year}-{self.horizon} is wider than {MAX_SCAN_YEARS} years"
+            )
 
     def algorithm(self, name: str) -> AlgorithmSpec:
         """The catalog spec with this scenario's tuning applied."""
@@ -265,53 +272,48 @@ def _anchor_label(anchor: tuple[str, str, int]) -> str:
     return f"{anchor[0]}:{anchor[1]}:{anchor[2]}"
 
 
-def _verdict_key(scenario: Scenario, anchor: tuple[str, str, int]) -> float:
-    """first_advantage_year as a number: beyond-horizon sorts after every
-    year, never after that."""
-    from .advantage import BEYOND_HORIZON, NEVER, first_advantage_year
+def _verdict_key(scenario: Scenario, specs: tuple[AlgorithmSpec, AlgorithmSpec]) -> float:
+    """first_advantage_year of an anchor's (classical, quantum) specs,
+    in advantage.verdict_key order."""
+    from .advantage import first_advantage_year, verdict_key
 
-    result = first_advantage_year(
-        scenario.algorithm(anchor[0]), scenario.algorithm(anchor[1]), scenario
-    )
-    if result.verdict == NEVER:
-        return math.inf
-    if result.verdict == BEYOND_HORIZON:
-        return scenario.horizon + 1
-    return float(result.verdict)
+    return verdict_key(first_advantage_year(*specs, scenario), scenario.horizon)
 
 
-def _coordinate_step(scenario, path, anchor, prefer):
+def _coordinate_step(scenario, path, anchor, specs, prefer):
     """One coordinate-wise bisection: pick a factor for `path` that makes
     the anchor's verdict equal its target year, or None if unreachable.
 
     The verdict is a non-increasing step function of the factor, so the
     settings hitting the target form an interval [enter, exit).  `prefer`
     selects the conservative edge ("low"), the aggressive edge ("high"),
-    or the midpoint ("mid").
+    or the midpoint ("mid").  `specs` are the anchor's resolved methods;
+    factors are trend parameters, so they do not change the specs.
     """
     lo, hi = CALIBRATION_BOUNDS
     target = float(anchor[2])
 
     def key(g: float) -> float:
-        return _verdict_key(set_param(scenario, path, g), anchor)
+        return _verdict_key(set_param(scenario, path, g), specs)
 
     k_lo, k_hi = key(lo), key(hi)
     if k_lo < target or k_hi > target:
         return None  # target year outside what this coordinate can reach
 
-    # enter: smallest factor with verdict <= target.
+    # enter: smallest factor with verdict <= target; k_enter its verdict.
     if k_lo <= target:
-        enter = lo
+        enter, k_enter = lo, k_lo
     else:
-        a, b = lo, hi
+        a, b, k_enter = lo, hi, k_hi
         while b - a > CALIBRATION_TOL:
             mid = 0.5 * (a + b)
-            if key(mid) <= target:
-                b = mid
+            k_mid = key(mid)
+            if k_mid <= target:
+                b, k_enter = mid, k_mid
             else:
                 a = mid
         enter = b
-    if key(enter) != target:
+    if k_enter != target:
         return None  # the step function skipped the target year
 
     # exit edge: largest probed factor still on the target year.
@@ -360,8 +362,10 @@ def calibrate(
         if p not in ("low", "high", "mid"):
             raise DomainError(f"prefer entries must be low|high|mid, got {p!r}")
 
+    specs = [(base.algorithm(a[0]), base.algorithm(a[1])) for a in anchors]
+
     def all_hit(s: Scenario) -> bool:
-        return all(_verdict_key(s, a) == float(a[2]) for a in anchors)
+        return all(_verdict_key(s, sp) == float(a[2]) for a, sp in zip(anchors, specs))
 
     current = base
     if all_hit(current):
@@ -369,8 +373,8 @@ def calibrate(
 
     for _ in range(max_passes):
         moved = False
-        for path, anchor, pref in zip(free_params, anchors, prefer):
-            value = _coordinate_step(current, path, anchor, pref)
+        for path, anchor, anchor_specs, pref in zip(free_params, anchors, specs, prefer):
+            value = _coordinate_step(current, path, anchor, anchor_specs, pref)
             if value is None:
                 continue
             if abs(value - get_param(current, path)) > CALIBRATION_TOL / 4:
@@ -381,8 +385,8 @@ def calibrate(
         if not moved:
             break
 
-    for anchor in anchors:
-        if _verdict_key(current, anchor) != float(anchor[2]):
+    for anchor, anchor_specs in zip(anchors, specs):
+        if _verdict_key(current, anchor_specs) != float(anchor[2]):
             raise CalibrationError(_anchor_label(anchor))
     raise CalibrationError(_anchor_label(anchors[-1]))  # pragma: no cover
 

@@ -105,6 +105,12 @@ class TestScalars:
         assert code == 3
         assert out == "" and "float range in year 2900" in err
 
+    @pytest.mark.parametrize("command", [["threshold", "--classical", "CCSD"], ["feasible"]])
+    def test_far_past_year_exit_3(self, capsys, command):
+        code, out, err = run(capsys, *command, "--quantum", "qpe-n3", "--year", "1000")
+        assert code == 3
+        assert out == "" and "float range in year 1000" in err
+
     def test_backward_year_warning(self, capsys):
         code, out, err = run(
             capsys, "threshold", "--classical", "CCSD", "--quantum", "qpe-n3", "--year", "2020"
@@ -213,6 +219,22 @@ class TestScenarioHandling:
         code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
         assert code == 3
         assert out == "" and "float range" in err
+
+    def test_unbounded_scan_window_exit_3(self, capsys, tmp_path):
+        # Flat trends never overflow, so only the window cap stops the scan.
+        flat = {"annual_factor": 1.0}
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps({
+                "horizon": 100000000,
+                "classical": {"flops_trend": flat},
+                "quantum": {"logical_tgate_trend": flat, "physical_qubit_trend": flat},
+            }),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
+        assert code == 3
+        assert out == "" and "wider than 1000 years" in err
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "threshold", "--classical", "CCSD")  # missing options

@@ -1,0 +1,96 @@
+"""Golden CLI outputs: the sha256 of canonical runs on the default scenario.
+
+Performance work on the solvers must leave every output byte as it was.
+These digests pin the simple-mode outputs that the tables, curves,
+thresholds and calibration produce today; a change that moves any float
+by one ulp changes a digest.  Surface-code outputs are not pinned here.
+
+To re-record after a deliberate model change, print the digests with
+`python tests/test_golden.py` from a source checkout and say why in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from qea.cli import main
+from qea.scenario import default_scenario, scenario_to_dict
+
+# Calibration starts from the shipped scenario with both calibrated
+# factors moved away from their fitted values.
+PERTURBED_START = {"physical_qubit_trend": 1.7, "logical_tgate_trend": 3.3}
+SCENARIO = "<perturbed-scenario>"
+
+CASES = {
+    "table-csv": ["table", "--format", "csv"],
+    "table-text": ["table"],
+    "robustness-csv": ["robustness", "--format", "csv"],
+    "curve-fci-n3": ["curve", "--classical", "FCI", "--quantum", "qpe-n3", "--step", "0.25", "--format", "csv"],
+    "curve-ccsdt-n2": ["curve", "--classical", "CCSDT", "--quantum", "qpe-n2", "--step", "0.25", "--format", "csv"],
+    **{
+        f"threshold-fci-{quantum}-{year}": [
+            "threshold", "--classical", "FCI", "--quantum", quantum, "--year", year, "--format", "csv",
+        ]
+        for quantum in ("qpe-n3", "qpe-n2")
+        for year in ("2027.5", "2033.25", "2041.75")
+    },
+    "calibrate-perturbed": [
+        "calibrate", "--scenario", SCENARIO,
+        "--anchor", "FCI:qpe-n3:2032", "--anchor", "CCSDT:qpe-n3:2036",
+        "--free", "quantum.physical_qubit_trend.annual_factor",
+        "--free", "quantum.logical_tgate_trend.annual_factor",
+        "--prefer", "high", "--prefer", "low",
+    ],
+}
+
+GOLDEN = {
+    "calibrate-perturbed": "ddfb14f17b327e609c32c1ad7b735c0befb90b95581216f1a2ea95d2fc82e3b5",
+    "curve-ccsdt-n2": "b3804773fa2d3746bcf02f987eaf96144bcbfa7699ef4b9772ed7bb7facb5e5e",
+    "curve-fci-n3": "0b9b238011384d4a86539a82c6800b347969af6ed974f58ad09d3a00467a480f",
+    "robustness-csv": "dc002441c54c4e1c13ddc24d75b0c952fa5827abbbadb073242acf0d0c6a4240",
+    "table-csv": "97ead809bf097ac2304657e83868d635d3b2e73eb4faad090ee6b63b00a6af78",
+    "table-text": "7c933d6d40c1f30881f7131dcd802fd7de6206c6bf7f355c4725ef974b602567",
+    "threshold-fci-qpe-n2-2027.5": "86baa99dd12f8b84bc9d36fd15ba89305c36b8567f41c74d585e8309aef0a000",
+    "threshold-fci-qpe-n2-2033.25": "30119b676649a81d416399858542992bbf7f69f6954aadf8873330e384f99841",
+    "threshold-fci-qpe-n2-2041.75": "670b3fbff521ca083f1039a7c3c5feda2f4718e8a6dfd4b2507cdc56daa1d819",
+    "threshold-fci-qpe-n3-2027.5": "8740aa9d151d136847f8fd7222b1c4fd64a075a8e5d2d99513b26c4ed4827a1f",
+    "threshold-fci-qpe-n3-2033.25": "967d6c41aea26b5b3514c779324c1802791dbb93d7dce81230b528d3cad61cf2",
+    "threshold-fci-qpe-n3-2041.75": "440c1ef3887699d01ab03dcc1b05afc33bc279a3f0c3cb141de9a8c32f54880d",
+}
+
+
+def _perturbed_scenario_file(directory: pathlib.Path) -> str:
+    doc = scenario_to_dict(default_scenario())
+    for trend, factor in PERTURBED_START.items():
+        doc["quantum"][trend]["annual_factor"] = factor
+    path = directory / "perturbed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _stdout_sha256(name: str, directory: pathlib.Path) -> str:
+    argv = [_perturbed_scenario_file(directory) if arg == SCENARIO else arg for arg in CASES[name]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, name
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_unchanged(name, tmp_path):
+    assert _stdout_sha256(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":  # print the digests of the current tree
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            print(f'    "{name}": "{_stdout_sha256(name, pathlib.Path(tmp))}",')

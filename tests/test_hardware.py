@@ -40,6 +40,14 @@ class TestTrend:
             trend_value(trend, 2900)
         assert math.isfinite(trend_value(trend, 2030))
 
+    def test_far_past_underflow_is_a_domain_error(self):
+        # 2.591^-1025 is below the smallest float; the trend must not
+        # read as 0 and reach math.log.
+        trend = ExponentialTrend(2025, 1e5, 2.591)
+        with pytest.raises(DomainError, match="float range in year 1000"):
+            trend_value(trend, 1000)
+        assert trend_value(trend, 1500) > 0
+
     def test_backward_extrapolation(self):
         trend = ExponentialTrend(2025, 100.0, 2.0)
         assert trend_value(trend, 2024) == pytest.approx(50.0, rel=1e-12)

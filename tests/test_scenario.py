@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from qea import (
     CalibrationError,
     DomainError,
+    Scenario,
     ScenarioError,
     Variation,
     apply_variation,
@@ -20,7 +22,9 @@ from qea import (
     scenario_digest,
     scenario_from_dict,
     standard_variations,
+    verdict_key,
 )
+from qea import scenario as scenario_module
 from qea.scenario import get_param, set_param
 
 from helpers import make_scenario, with_tuning
@@ -163,6 +167,8 @@ class TestFileFormat:
             {"horizon": float("inf")},
             {"deadline_s": float("inf")},
             {"epsilon": float("nan")},
+            {"horizon": 100000000},
+            {"start_year": 1000, "horizon": 2050},
         ],
     )
     def test_strict_rejects(self, doc):
@@ -174,6 +180,11 @@ class TestFileFormat:
         assert (s.start_year, s.horizon) == (2030, 2040)
         assert type(s.start_year) is int and type(s.horizon) is int
         assert list(s.years()) == list(range(2030, 2041))
+
+    def test_scan_window_cap(self):
+        assert len(make_scenario(start_year=2025, horizon=3025).years()) == 1001
+        with pytest.raises(DomainError, match="wider than 1000 years"):
+            make_scenario(start_year=2025, horizon=3026)
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
@@ -264,3 +275,52 @@ class TestCalibrate:
                 [("FCI", "qpe-n3", 2032)],
                 prefer=["sideways"],
             )
+
+    def test_verdict_key_is_advantage_order(self):
+        s = default_scenario()
+        for c, q in [("DFT", "qpe-n3"), ("HF", "qpe-n3"), ("FCI", "qpe-n3")]:
+            specs = (s.algorithm(c), s.algorithm(q))
+            want = verdict_key(first_advantage_year(*specs, s), s.horizon)
+            assert scenario_module._verdict_key(s, specs) == want
+        assert {scenario_module._verdict_key(s, (s.algorithm(c), s.algorithm("qpe-n3")))
+                for c in ("DFT", "HF", "FCI")} == {math.inf, 2051.0, 2032.0}
+
+    def _perturbed(self):
+        base = default_scenario()
+        return set_param(set_param(base, self.FREE[0], 1.7), self.FREE[1], 3.3)
+
+    def test_anchor_methods_resolved_once(self, monkeypatch):
+        calls = []
+        original = Scenario.algorithm
+
+        def counting(scenario, name):
+            calls.append(name)
+            return original(scenario, name)
+
+        monkeypatch.setattr(Scenario, "algorithm", counting)
+        calibrate(self._perturbed(), self.FREE, self.ANCHORS, prefer=["high", "low"])
+        assert calls == ["FCI", "qpe-n3", "CCSD(T)", "qpe-n3"]
+
+    def test_coordinate_step_probes_no_factor_twice(self, monkeypatch):
+        probes, in_step = [], []
+        original_key, original_step = scenario_module._verdict_key, scenario_module._coordinate_step
+
+        def recording_key(scenario, specs):
+            if in_step:  # all_hit also asks, outside any step
+                probes[-1].append((scenario.quantum, specs[0].name))
+            return original_key(scenario, specs)
+
+        def recording_step(*args):
+            probes.append([])
+            in_step.append(True)
+            try:
+                return original_step(*args)
+            finally:
+                in_step.pop()
+
+        monkeypatch.setattr(scenario_module, "_verdict_key", recording_key)
+        monkeypatch.setattr(scenario_module, "_coordinate_step", recording_step)
+        calibrate(self._perturbed(), self.FREE, self.ANCHORS, prefer=["high", "mid"])
+        assert len(probes) >= 2
+        for step in probes:
+            assert len(step) == len(set(step))
