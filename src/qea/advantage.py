@@ -67,7 +67,8 @@ SIZE_CAP = 10**15
 # both throughput curves to well below 1e-9.
 _LOG_TOL = 1e-12
 
-# Expansion cap for bracket search in ln N (N ~ 1e111).
+# Cap on a threshold's ln N, in the closed form and the bracket search
+# (N ~ 1.5e111, far past SIZE_CAP).
 _LOG_N_MAX = 256.0
 
 # Integer snapping is only meaningful (and affordable) while one unit of
@@ -160,7 +161,9 @@ def qea_threshold(
     )
     if simple_poly:
         # gap(N) = gap(1) + (a_q - a_c) ln N, so the root is direct.
-        root_u = gap1 / (a_c - a_q)
+        # Capped like the bracket search: a near-tie of the exponents
+        # puts the root past float range.
+        root_u = min(gap1 / (a_c - a_q), _LOG_N_MAX)
     else:
         # The gap can rise before it falls (a_q > a_c under an
         # exponential classical law); bracket from beyond the peak.

@@ -37,6 +37,8 @@ from .cost import flop_adjusted_constant, naive_t_gate_estimate
 from .advantage import feasibility_envelope, qea_threshold
 from .errors import CalibrationError, DomainError, QeaError
 from .report import (
+    _csv_rows,
+    _text_number,
     curve_csv,
     curve_text,
     disruption_table,
@@ -116,21 +118,10 @@ def _split_methods(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-def _text_num(value: float) -> str:
-    return format(value, ".6g")
-
-
 def _scalar(fmt: str, scenario: Scenario, header: list[str], row: list[str], text_value: str) -> str:
     if fmt == "text":
         return text_value + "\n"
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return f"# scenario sha256={scenario_digest(scenario)}\r\n" + buf.getvalue()
+    return _csv_rows(header, [row], scenario)
 
 
 @click.group()
@@ -213,7 +204,7 @@ def threshold(scenario_path, classical, quantum, year, no_epsilon, fmt, out):
         scenario = dataclasses.replace(scenario, epsilon=1.0)
     _warn_backward(year)
     value = qea_threshold(scenario.algorithm(classical), scenario.algorithm(quantum), year, scenario)
-    rendered = "never" if value is None else _text_num(value)
+    rendered = "never" if value is None else _text_number(value)
     csv_value = "" if value is None else repr(value)
     _emit(
         _scalar(
@@ -238,21 +229,10 @@ def feasible(scenario_path, quantum, year, fmt, out):
     scenario = _get_scenario(scenario_path)
     _warn_backward(year)
     env = feasibility_envelope(scenario.algorithm(quantum), year, scenario)
-    text = (
-        f"qubit_limited_n: {env.qubit_limited_n}\n"
-        f"deadline_limited_n: {env.deadline_limited_n}\n"
-        f"max_feasible_n: {env.max_feasible_n}\n"
-    )
-    _emit(
-        _scalar(
-            fmt,
-            scenario,
-            ["year", "qubit_limited_n", "deadline_limited_n", "max_feasible_n"],
-            [repr(year), str(env.qubit_limited_n), str(env.deadline_limited_n), str(env.max_feasible_n)],
-            text.rstrip("\n"),
-        ),
-        out,
-    )
+    names = ["qubit_limited_n", "deadline_limited_n", "max_feasible_n"]
+    values = [str(getattr(env, name)) for name in names]
+    text = "\n".join(f"{name}: {value}" for name, value in zip(names, values))
+    _emit(_scalar(fmt, scenario, ["year"] + names, [repr(year)] + values, text), out)
 
 
 @cli.command()
@@ -265,11 +245,7 @@ def feasible(scenario_path, quantum, year, fmt, out):
 def constant(time_s, peak_flops, n, exponent, fmt, out):
     """Flop-adjusted algorithmic constant T*P/N^p from a benchmark."""
     value = flop_adjusted_constant(time_s, peak_flops, n, exponent)
-    scenario = default_scenario()
-    _emit(
-        _scalar(fmt, scenario, ["constant"], [repr(value)], _text_num(value)),
-        out,
-    )
+    _emit(_scalar(fmt, default_scenario(), ["constant"], [repr(value)], _text_number(value)), out)
 
 
 @cli.command()
@@ -281,11 +257,7 @@ def constant(time_s, peak_flops, n, exponent, fmt, out):
 def tgates(n, exponent, epsilon, fmt, out):
     """Naive T-gate estimate N^p / eps."""
     value = naive_t_gate_estimate(n, exponent, epsilon)
-    scenario = default_scenario()
-    _emit(
-        _scalar(fmt, scenario, ["t_gates"], [repr(value)], _text_num(value)),
-        out,
-    )
+    _emit(_scalar(fmt, default_scenario(), ["t_gates"], [repr(value)], _text_number(value)), out)
 
 
 @cli.command()
@@ -304,11 +276,11 @@ def convert(molecule, heuristic, basis_functions, ratio, out):
         heur = lookup_heuristic(heuristic)
         orbitals = orbital_count(mol, heur)
         lines.append(f"orbitals: {orbitals}")
-        lines.append(f"orbital_to_atom_ratio: {_text_num(orbital_to_atom_ratio(mol, heur))}")
+        lines.append(f"orbital_to_atom_ratio: {_text_number(orbital_to_atom_ratio(mol, heur))}")
     if basis_functions is not None:
         if ratio is None:
             raise DomainError("--basis-functions needs --ratio")
-        lines.append(f"atoms: {_text_num(atoms_from_basis_functions(basis_functions, ratio))}")
+        lines.append(f"atoms: {_text_number(atoms_from_basis_functions(basis_functions, ratio))}")
     if not lines:
         raise DomainError("nothing to convert: pass --molecule/--heuristic or --basis-functions/--ratio")
     _emit("\n".join(lines) + "\n", out)

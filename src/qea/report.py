@@ -236,24 +236,25 @@ def render_csv(table) -> str:
     raise DomainError(f"cannot render {type(table).__name__} as CSV")
 
 
+_CURVE_HEADER = ["year", "threshold_n", "qubit_limited_n", "deadline_limited_n", "max_feasible_n", "region_nonempty"]
+
+
+def _curve_rows(points: list[CurvePoint], number, no_threshold: str) -> list[list[str]]:
+    return [
+        [
+            number(p.year),
+            no_threshold if p.threshold_n is None else number(p.threshold_n),
+            str(p.qubit_limited_n),
+            str(p.deadline_limited_n),
+            str(p.max_feasible_n),
+            "true" if p.region_nonempty else "false",
+        ]
+        for p in points
+    ]
+
+
 def curve_csv(points: list[CurvePoint], scenario: Scenario) -> str:
-    rows = []
-    for p in points:
-        rows.append(
-            [
-                _csv_number(p.year),
-                "" if p.threshold_n is None else _csv_number(p.threshold_n),
-                str(p.qubit_limited_n),
-                str(p.deadline_limited_n),
-                str(p.max_feasible_n),
-                "true" if p.region_nonempty else "false",
-            ]
-        )
-    return _csv_rows(
-        ["year", "threshold_n", "qubit_limited_n", "deadline_limited_n", "max_feasible_n", "region_nonempty"],
-        rows,
-        scenario,
-    )
+    return _csv_rows(_CURVE_HEADER, _curve_rows(points, _csv_number, ""), scenario)
 
 
 def render_text(table) -> str:
@@ -278,17 +279,4 @@ def render_text(table) -> str:
 
 
 def curve_text(points: list[CurvePoint], scenario: Scenario) -> str:
-    headers = ["year", "threshold_n", "qubit_limited_n", "deadline_limited_n", "max_feasible_n", "region_nonempty"]
-    rows = []
-    for p in points:
-        rows.append(
-            [
-                _text_number(p.year),
-                "-" if p.threshold_n is None else _text_number(p.threshold_n),
-                str(p.qubit_limited_n),
-                str(p.deadline_limited_n),
-                str(p.max_feasible_n),
-                "true" if p.region_nonempty else "false",
-            ]
-        )
-    return _grid(headers, rows, scenario)
+    return _grid(_CURVE_HEADER, _curve_rows(points, _text_number, "-"), scenario)

@@ -11,8 +11,11 @@ are fixed by anchoring the model to two disruption years (FCI and
 CCSD(T) against the N^3 phase-estimation law) and are embedded below as
 frozen literals so results reproduce without re-running the search.
 
-Scenario files are strict JSON: any key outside the documented schema
-is a load error.  See README for the schema.
+Scenario files are strict JSON: any key outside the schema is a load
+error.  The schema table `_SCHEMA` below is the single source of truth
+for the file format: it maps every file key to its dataclass attribute,
+and loading, dumping, the digest, load errors and the calibrate
+parameter paths all read it.  README shows an example file.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import CalibrationError, DomainError, ScenarioError
-from .catalog import AlgorithmSpec, ComplexityModel, builtin_catalog, canonical_name
+from .errors import CalibrationError, DomainError, ScenarioError, UnknownMethodError
+from .catalog import AlgorithmSpec, builtin_catalog, canonical_name, lookup
 from .hardware import (
     ClassicalPlatform,
     ExponentialTrend,
@@ -93,16 +96,17 @@ class AlgorithmTuning:
             raise DomainError("qubit_constant must be > 0")
 
 
-def _default_tunings() -> dict[str, AlgorithmTuning]:
-    tunings = {}
-    for name, spec in builtin_catalog().items():
-        tunings[name] = AlgorithmTuning(
-            constant=spec.cost_law.constant,
-            exponent=spec.cost_law.size_exponent,
-            fidelity=spec.initial_state_fidelity,
-            qubit_constant=None if spec.qubit_law is None else spec.qubit_law.constant,
-        )
-    return tunings
+# The catalog's own tunings, built once: every scenario starts from a
+# copy, and scenario_to_dict writes only the fields that differ.
+_CATALOG_TUNINGS = {
+    name: AlgorithmTuning(
+        constant=spec.cost_law.constant,
+        exponent=spec.cost_law.size_exponent,
+        fidelity=spec.initial_state_fidelity,
+        qubit_constant=None if spec.qubit_law is None else spec.qubit_law.constant,
+    )
+    for name, spec in builtin_catalog().items()
+}
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class Scenario:
     horizon: int
     classical: ClassicalPlatform
     quantum: QuantumPlatform
-    algorithms: dict[str, AlgorithmTuning] = field(default_factory=_default_tunings)
+    algorithms: dict[str, AlgorithmTuning] = field(default_factory=_CATALOG_TUNINGS.copy)
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
@@ -124,20 +128,15 @@ class Scenario:
             raise DomainError("horizon must be >= start_year")
         if self.horizon - self.start_year > MAX_SCAN_YEARS:
             raise DomainError(
-                f"scan window {self.start_year}-{self.horizon} is wider than {MAX_SCAN_YEARS} years"
+                f"scan window from start_year {self.start_year} to horizon {self.horizon} "
+                f"is wider than {MAX_SCAN_YEARS} years"
             )
 
     def algorithm(self, name: str) -> AlgorithmSpec:
         """The catalog spec with this scenario's tuning applied."""
-        key = canonical_name(name)
-        base = builtin_catalog()[key]
-        tuning = self.algorithms[key]
-        cost_law = ComplexityModel(
-            constant=tuning.constant,
-            size_exponent=tuning.exponent,
-            inv_error_exponent=base.cost_law.inv_error_exponent,
-            exp_base=base.cost_law.exp_base,
-        )
+        base = lookup(name)
+        tuning = self.algorithms[base.name]
+        cost_law = dataclasses.replace(base.cost_law, constant=tuning.constant, size_exponent=tuning.exponent)
         qubit_law = base.qubit_law
         if qubit_law is not None and tuning.qubit_constant is not None:
             qubit_law = qubit_law.with_constant(tuning.qubit_constant)
@@ -183,10 +182,9 @@ def standard_variations() -> list[Variation]:
 
 def apply_variation(scenario: Scenario, variation: Variation) -> Scenario:
     """A new scenario with the variation's multipliers applied."""
-    kinds = {name: spec.kind for name, spec in builtin_catalog().items()}
     tuned = {}
     for name, t in scenario.algorithms.items():
-        if kinds[name] == "quantum":
+        if lookup(name).kind == "quantum":
             tuned[name] = dataclasses.replace(
                 t,
                 constant=t.constant * variation.quantum_time,
@@ -227,14 +225,204 @@ def default_scenario() -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Parameter paths (used by calibrate and the CLI)
+# File format
+#
+# _SCHEMA is the one description of the file: each section maps its file
+# keys to the attributes of one dataclass, each read through a check on
+# the file's value.  Loading, dumping, the error messages and the
+# calibrate parameter paths all read it; the dataclasses' own
+# __post_init__ checks the values' ranges.
+
+
+def _number(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _finite(value, where: str):
+    if isinstance(_number(value, where), float) and not math.isfinite(value):
+        raise ScenarioError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def _year(value, where: str) -> int:
+    if not (isinstance(_number(value, where), int) or value.is_integer()):
+        raise ScenarioError(f"{where} must be a whole year, got {value!r}")
+    return int(value)
+
+
+def _as_is(value, where: str):
+    """No check here; QuantumPlatform checks the mode."""
+    return value
+
+
+@dataclass(frozen=True)
+class _Section:
+    """One object in the file, read into the dataclass at `attr` of the
+    enclosing one.  fields maps a file key to (attribute, check);
+    sections maps a file key to a nested object.  A section with
+    per_method set is keyed by method name instead, and holds one
+    per_method object for each method (overrides.<method>)."""
+
+    attr: str
+    fields: dict
+    sections: dict = field(default_factory=dict)
+    per_method: _Section | None = None
+
+
+_TREND_FIELDS = {key: (key, _number) for key in ("base_year", "base_value", "annual_factor")}
+
+
+_SCHEMA = _Section(
+    "",
+    {
+        "epsilon": ("epsilon", _finite),
+        "deadline_s": ("deadline_s", _finite),
+        "start_year": ("start_year", _year),
+        "horizon": ("horizon", _year),
+    },
+    {
+        "classical": _Section(
+            "classical", {}, {"flops_trend": _Section("flops_per_dollar_second", _TREND_FIELDS)}
+        ),
+        "quantum": _Section(
+            "quantum",
+            {"mode": ("mode", _as_is)},
+            {
+                "logical_tgate_trend": _Section("logical_tgates_per_dollar_second", _TREND_FIELDS),
+                "physical_qubit_trend": _Section("physical_qubits", _TREND_FIELDS),
+                "ratio_trend": _Section("physical_to_logical_ratio", _TREND_FIELDS),
+                "physical_error_trend": _Section("physical_error_rate", _TREND_FIELDS),
+                "surface_code": _Section(
+                    "sc_params",
+                    {
+                        "A": ("prefactor_a", _number),
+                        "p_th": ("threshold_error", _number),
+                        "cycle_time_s": ("cycle_time_s", _number),
+                        "cycles_per_t": ("cycles_per_t_gate", _number),
+                        "failure_budget": ("failure_budget", _number),
+                    },
+                ),
+            },
+        ),
+        "overrides": _Section(
+            "algorithms",
+            {},
+            per_method=_Section(
+                "", {key: (key, _number) for key in ("constant", "exponent", "fidelity", "qubit_constant")}
+            ),
+        ),
+    },
+)
+
+
+def _load(section: _Section, data, obj, where: str):
+    """`obj` with the file object `data`, found at dotted path `where`,
+    applied over it."""
+    label = where or "scenario"
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{label!r} must be an object")
+    if section.per_method:
+        return _load_methods(section.per_method, data, obj, where)
+    unknown = sorted(set(data) - section.fields.keys() - section.sections.keys())
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} under {label!r}")
+    changes = {}
+    for key, value in data.items():
+        path = f"{where}.{key}" if where else key
+        if key in section.fields:
+            attr, check = section.fields[key]
+            changes[attr] = check(value, path)
+        else:
+            sub = section.sections[key]
+            changes[sub.attr] = _load(sub, value, getattr(obj, sub.attr), path)
+    try:
+        return dataclasses.replace(obj, **changes)
+    except DomainError as exc:
+        raise ScenarioError(f"invalid {label}: {exc}") from exc
+
+
+def _load_methods(section: _Section, data: dict, tunings: dict, where: str) -> dict:
+    tunings = dict(tunings)
+    for raw_name, fields in data.items():
+        path = f"{where}.{raw_name}"
+        try:
+            name = canonical_name(raw_name)
+        except (AttributeError, UnknownMethodError) as exc:
+            raise ScenarioError(f"{where}: unknown algorithm {raw_name!r}") from exc
+        if isinstance(fields, dict) and "qubit_constant" in fields and tunings[name].qubit_constant is None:
+            raise ScenarioError(f"{path}: qubit_constant only applies to quantum methods")
+        tunings[name] = _load(section, fields, tunings[name], path)
+    return tunings
+
+
+def _dump(section: _Section, obj) -> dict:
+    if section.per_method:
+        return _dump_methods(section.per_method, obj)
+    doc = {key: getattr(obj, attr) for key, (attr, _) in section.fields.items()}
+    for key, sub in section.sections.items():
+        value = _dump(sub, getattr(obj, sub.attr))
+        if value:  # only overrides can be empty; an empty one is left out
+            doc[key] = value
+    return doc
+
+
+def _dump_methods(section: _Section, tunings: dict) -> dict:
+    """Only the fields that differ from the catalog default."""
+    doc = {}
+    for name, tuning in tunings.items():
+        default = _CATALOG_TUNINGS[name]
+        entry = {
+            key: getattr(tuning, attr)
+            for key, (attr, _) in section.fields.items()
+            if getattr(tuning, attr) != getattr(default, attr)
+        }
+        if entry:
+            doc[name] = entry
+    return doc
+
+
+def scenario_from_dict(data: dict) -> Scenario:
+    """Build a scenario from a parsed file; strict about unknown keys."""
+    return _load(_SCHEMA, data, default_scenario(), "")
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """File-format dict; algorithm tunings appear only where they differ
+    from catalog defaults, so defaults round-trip compactly."""
+    return _dump(_SCHEMA, scenario)
+
+
+def dump_scenario(scenario: Scenario) -> str:
+    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+
+
+def load_scenario(path: str) -> Scenario:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"scenario file {path!r} is not valid JSON: {exc}") from exc
+    return scenario_from_dict(data)
+
+
+def scenario_digest(scenario: Scenario) -> str:
+    """Stable sha256 of the scenario's canonical serialized form."""
+    return hashlib.sha256(dump_scenario(scenario).encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Parameter paths (used by calibrate and the CLI): the annual factor of
+# each trend section of the schema.
 
 _TREND_PATHS = {
-    "classical.flops_trend": ("classical", "flops_per_dollar_second"),
-    "quantum.logical_tgate_trend": ("quantum", "logical_tgates_per_dollar_second"),
-    "quantum.physical_qubit_trend": ("quantum", "physical_qubits"),
-    "quantum.ratio_trend": ("quantum", "physical_to_logical_ratio"),
-    "quantum.physical_error_trend": ("quantum", "physical_error_rate"),
+    f"{platform_key}.{trend_key}": (platform.attr, trend.attr)
+    for platform_key, platform in _SCHEMA.sections.items()
+    for trend_key, trend in platform.sections.items()
+    if trend.fields is _TREND_FIELDS
 }
 
 
@@ -389,246 +577,3 @@ def calibrate(
         if _verdict_key(current, anchor_specs) != float(anchor[2]):
             raise CalibrationError(_anchor_label(anchor))
     raise CalibrationError(_anchor_label(anchors[-1]))  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# File format
-
-_TREND_KEYS = ("base_year", "base_value", "annual_factor")
-_SC_KEYS = ("A", "p_th", "cycle_time_s", "cycles_per_t", "failure_budget")
-_OVERRIDE_KEYS = ("constant", "exponent", "fidelity", "qubit_constant")
-
-
-def _check_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {unknown} under {where!r}")
-
-
-def _require_numbers(mapping: dict, where: str) -> None:
-    for key, value in mapping.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
-
-
-def _trend_from_dict(data, where, fallback: ExponentialTrend) -> ExponentialTrend:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{where!r} must be an object")
-    _check_keys(data, _TREND_KEYS, where)
-    _require_numbers(data, where)
-    try:
-        return dataclasses.replace(fallback, **data)
-    except DomainError as exc:
-        raise ScenarioError(f"invalid trend under {where!r}: {exc}") from exc
-
-
-def _trend_to_dict(trend: ExponentialTrend) -> dict:
-    return {
-        "base_year": trend.base_year,
-        "base_value": trend.base_value,
-        "annual_factor": trend.annual_factor,
-    }
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario from a parsed file; strict about unknown keys."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be an object")
-    _check_keys(
-        data,
-        ("epsilon", "deadline_s", "start_year", "horizon", "classical", "quantum", "overrides"),
-        "<top-level>",
-    )
-    _require_numbers(
-        {k: v for k, v in data.items() if k in ("epsilon", "deadline_s", "start_year", "horizon")},
-        "<top-level>",
-    )
-    for key in ("epsilon", "deadline_s"):
-        if isinstance(data.get(key), float) and not math.isfinite(data[key]):
-            raise ScenarioError(f"{key} must be finite, got {data[key]!r}")
-    years = {}
-    for key in ("start_year", "horizon"):
-        if key in data:
-            value = data[key]
-            if not (isinstance(value, int) or value.is_integer()):
-                raise ScenarioError(f"{key} must be a whole year, got {value!r}")
-            years[key] = int(value)
-    base = default_scenario()
-
-    classical = base.classical
-    if "classical" in data:
-        section = data["classical"]
-        if not isinstance(section, dict):
-            raise ScenarioError("'classical' must be an object")
-        _check_keys(section, ("flops_trend",), "classical")
-        if "flops_trend" in section:
-            classical = ClassicalPlatform(
-                _trend_from_dict(
-                    section["flops_trend"], "classical.flops_trend", base.classical.flops_per_dollar_second
-                )
-            )
-
-    quantum = base.quantum
-    if "quantum" in data:
-        section = data["quantum"]
-        if not isinstance(section, dict):
-            raise ScenarioError("'quantum' must be an object")
-        _check_keys(
-            section,
-            (
-                "mode",
-                "logical_tgate_trend",
-                "physical_qubit_trend",
-                "ratio_trend",
-                "physical_error_trend",
-                "surface_code",
-            ),
-            "quantum",
-        )
-        mode = section.get("mode", quantum.mode)
-        if mode not in ("simple", "surface-code"):
-            raise ScenarioError(f"quantum.mode must be simple or surface-code, got {mode!r}")
-        sc = quantum.sc_params
-        if "surface_code" in section:
-            sc_data = section["surface_code"]
-            if not isinstance(sc_data, dict):
-                raise ScenarioError("'quantum.surface_code' must be an object")
-            _check_keys(sc_data, _SC_KEYS, "quantum.surface_code")
-            _require_numbers(sc_data, "quantum.surface_code")
-            try:
-                sc = SurfaceCodeParams(
-                    prefactor_a=sc_data.get("A", sc.prefactor_a),
-                    threshold_error=sc_data.get("p_th", sc.threshold_error),
-                    cycle_time_s=sc_data.get("cycle_time_s", sc.cycle_time_s),
-                    cycles_per_t_gate=sc_data.get("cycles_per_t", sc.cycles_per_t_gate),
-                    failure_budget=sc_data.get("failure_budget", sc.failure_budget),
-                )
-            except DomainError as exc:
-                raise ScenarioError(f"invalid quantum.surface_code: {exc}") from exc
-        quantum = QuantumPlatform(
-            mode=mode,
-            logical_tgates_per_dollar_second=_trend_from_dict(
-                section.get("logical_tgate_trend", {}),
-                "quantum.logical_tgate_trend",
-                quantum.logical_tgates_per_dollar_second,
-            ),
-            physical_qubits=_trend_from_dict(
-                section.get("physical_qubit_trend", {}),
-                "quantum.physical_qubit_trend",
-                quantum.physical_qubits,
-            ),
-            physical_to_logical_ratio=_trend_from_dict(
-                section.get("ratio_trend", {}), "quantum.ratio_trend", quantum.physical_to_logical_ratio
-            ),
-            physical_error_rate=_trend_from_dict(
-                section.get("physical_error_trend", {}),
-                "quantum.physical_error_trend",
-                quantum.physical_error_rate,
-            ),
-            sc_params=sc,
-        )
-
-    algorithms = dict(base.algorithms)
-    if "overrides" in data:
-        overrides = data["overrides"]
-        if not isinstance(overrides, dict):
-            raise ScenarioError("'overrides' must be an object")
-        for raw_name, fields in overrides.items():
-            try:
-                name = canonical_name(raw_name)
-            except Exception as exc:
-                raise ScenarioError(f"overrides: unknown algorithm {raw_name!r}") from exc
-            if not isinstance(fields, dict):
-                raise ScenarioError(f"overrides.{raw_name} must be an object")
-            _check_keys(fields, _OVERRIDE_KEYS, f"overrides.{raw_name}")
-            _require_numbers(fields, f"overrides.{raw_name}")
-            t = algorithms[name]
-            if "qubit_constant" in fields and t.qubit_constant is None:
-                raise ScenarioError(
-                    f"overrides.{raw_name}: qubit_constant only applies to quantum methods"
-                )
-            try:
-                algorithms[name] = AlgorithmTuning(
-                    constant=fields.get("constant", t.constant),
-                    exponent=fields.get("exponent", t.exponent),
-                    fidelity=fields.get("fidelity", t.fidelity),
-                    qubit_constant=fields.get("qubit_constant", t.qubit_constant),
-                )
-            except DomainError as exc:
-                raise ScenarioError(f"invalid overrides.{raw_name}: {exc}") from exc
-
-    try:
-        return Scenario(
-            epsilon=data.get("epsilon", base.epsilon),
-            deadline_s=data.get("deadline_s", base.deadline_s),
-            start_year=years.get("start_year", base.start_year),
-            horizon=years.get("horizon", base.horizon),
-            classical=classical,
-            quantum=quantum,
-            algorithms=algorithms,
-        )
-    except (DomainError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """File-format dict; algorithm tunings appear only where they differ
-    from catalog defaults, so defaults round-trip compactly."""
-    overrides = {}
-    for name, t in scenario.algorithms.items():
-        d = _default_tunings()[name]
-        entry = {}
-        if t.constant != d.constant:
-            entry["constant"] = t.constant
-        if t.exponent != d.exponent:
-            entry["exponent"] = t.exponent
-        if t.fidelity != d.fidelity:
-            entry["fidelity"] = t.fidelity
-        if t.qubit_constant != d.qubit_constant:
-            entry["qubit_constant"] = t.qubit_constant
-        if entry:
-            overrides[name] = entry
-    doc = {
-        "epsilon": scenario.epsilon,
-        "deadline_s": scenario.deadline_s,
-        "start_year": scenario.start_year,
-        "horizon": scenario.horizon,
-        "classical": {"flops_trend": _trend_to_dict(scenario.classical.flops_per_dollar_second)},
-        "quantum": {
-            "mode": scenario.quantum.mode,
-            "logical_tgate_trend": _trend_to_dict(scenario.quantum.logical_tgates_per_dollar_second),
-            "physical_qubit_trend": _trend_to_dict(scenario.quantum.physical_qubits),
-            "ratio_trend": _trend_to_dict(scenario.quantum.physical_to_logical_ratio),
-            "physical_error_trend": _trend_to_dict(scenario.quantum.physical_error_rate),
-            "surface_code": {
-                "A": scenario.quantum.sc_params.prefactor_a,
-                "p_th": scenario.quantum.sc_params.threshold_error,
-                "cycle_time_s": scenario.quantum.sc_params.cycle_time_s,
-                "cycles_per_t": scenario.quantum.sc_params.cycles_per_t_gate,
-                "failure_budget": scenario.quantum.sc_params.failure_budget,
-            },
-        },
-    }
-    if overrides:
-        doc["overrides"] = overrides
-    return doc
-
-
-def dump_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
-
-
-def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path!r} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
-
-
-def scenario_digest(scenario: Scenario) -> str:
-    """Stable sha256 of the scenario's canonical serialized form."""
-    return hashlib.sha256(dump_scenario(scenario).encode("utf-8")).hexdigest()

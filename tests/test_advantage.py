@@ -98,6 +98,16 @@ class TestThreshold:
         with pytest.raises(DomainError):
             qea_threshold(flat.algorithm("qpe-n3"), flat.algorithm("qpe-n2"), 2025, flat)
 
+    def test_near_tie_exponents_cap_the_closed_form_root(self):
+        # a_c - a_q = 1e-7 puts the closed-form root near ln N = 3e8,
+        # past float range; it is capped at ln N = 256 like the bracket
+        # search, far above any feasible size.
+        s = with_tuning(default_scenario(), "CCSD", exponent=2.0000001)
+        classical, quantum = s.algorithm("CCSD"), s.algorithm("qpe-n2")
+        assert qea_threshold(classical, quantum, 2030, s) == math.exp(256.0)
+        result = first_advantage_year(classical, quantum, s)
+        assert result.verdict == BEYOND_HORIZON
+
 
 @pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
 def test_non_finite_year_rejected(year):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output shapes, exit codes, streams."""
 
 import json
+import math
 
 import pytest
 
@@ -235,6 +236,21 @@ class TestScenarioHandling:
         code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
         assert code == 3
         assert out == "" and "wider than 1000 years" in err
+
+    def test_near_tie_exponents_exit_0(self, capsys, tmp_path):
+        # The closed-form threshold root used to overflow math.exp here.
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({"overrides": {"CCSD": {"exponent": 2.0000001}}}), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "threshold", "--scenario", str(path), "--classical", "CCSD", "--quantum", "qpe-n2",
+            "--year", "2030", "--format", "csv",
+        )
+        assert code == 0
+        assert math.isfinite(float(out.splitlines()[-1].split(",")[-1]))
+        code, out, _ = run(capsys, "table", "--scenario", str(path))
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+        assert rows["CCSD"] == ["N/A", ">2050"]
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "threshold", "--classical", "CCSD")  # missing options

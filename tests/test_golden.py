@@ -4,6 +4,8 @@ Performance work on the solvers must leave every output byte as it was.
 These digests pin the simple-mode outputs that the tables, curves,
 thresholds and calibration produce today; a change that moves any float
 by one ulp changes a digest.  Surface-code outputs are not pinned here.
+The CSV digest line is the sha256 of the scenario's canonical dump, so
+the custom-scenario case also pins the file format's dump bytes.
 
 To re-record after a deliberate model change, print the digests with
 `python tests/test_golden.py` from a source checkout and say why in
@@ -29,6 +31,31 @@ from qea.scenario import default_scenario, scenario_to_dict
 PERTURBED_START = {"physical_qubit_trend": 1.7, "logical_tgate_trend": 3.3}
 SCENARIO = "<perturbed-scenario>"
 
+# A non-default simple-mode file that sets every section: all five
+# trends (int and fractional base_years, an int base_value), the
+# surface_code block, every top-level scalar, and all four override
+# fields, on a classical method through its alias and on a quantum one.
+CUSTOM_SCENARIO = "<custom-scenario>"
+CUSTOM_DOC = {
+    "epsilon": 0.002,
+    "deadline_s": 604800.0,
+    "start_year": 2026,
+    "horizon": 2060,
+    "classical": {"flops_trend": {"base_year": 2024, "base_value": 3.3e17, "annual_factor": 1.37}},
+    "quantum": {
+        "mode": "simple",
+        "logical_tgate_trend": {"base_year": 2025, "base_value": 2.0e5, "annual_factor": 2.2},
+        "physical_qubit_trend": {"base_year": 2024, "base_value": 1500, "annual_factor": 2.0},
+        "ratio_trend": {"base_year": 2025.5, "base_value": 800.0, "annual_factor": 0.97},
+        "physical_error_trend": {"base_year": 2025, "base_value": 5e-4, "annual_factor": 0.92},
+        "surface_code": {"A": 0.08, "p_th": 0.011, "cycle_time_s": 5e-7, "cycles_per_t": 12, "failure_budget": 0.005},
+    },
+    "overrides": {
+        "CCSDT": {"constant": 1.67, "exponent": 6.5},
+        "qpe-n3": {"constant": 2.5, "exponent": 2.9, "fidelity": 0.8, "qubit_constant": 12.0},
+    },
+}
+
 CASES = {
     "table-csv": ["table", "--format", "csv"],
     "table-text": ["table"],
@@ -42,6 +69,10 @@ CASES = {
         for quantum in ("qpe-n3", "qpe-n2")
         for year in ("2027.5", "2033.25", "2041.75")
     },
+    "threshold-custom-scenario": [
+        "threshold", "--scenario", CUSTOM_SCENARIO, "--classical", "CCSDT", "--quantum", "qpe-n3",
+        "--year", "2040", "--format", "csv",
+    ],
     "calibrate-perturbed": [
         "calibrate", "--scenario", SCENARIO,
         "--anchor", "FCI:qpe-n3:2032", "--anchor", "CCSDT:qpe-n3:2036",
@@ -58,6 +89,7 @@ GOLDEN = {
     "robustness-csv": "dc002441c54c4e1c13ddc24d75b0c952fa5827abbbadb073242acf0d0c6a4240",
     "table-csv": "97ead809bf097ac2304657e83868d635d3b2e73eb4faad090ee6b63b00a6af78",
     "table-text": "7c933d6d40c1f30881f7131dcd802fd7de6206c6bf7f355c4725ef974b602567",
+    "threshold-custom-scenario": "4861e6e6d5d56d022960973bea4530dd0a9a1c637a6b747c3534b24e9cfef27f",
     "threshold-fci-qpe-n2-2027.5": "86baa99dd12f8b84bc9d36fd15ba89305c36b8567f41c74d585e8309aef0a000",
     "threshold-fci-qpe-n2-2033.25": "30119b676649a81d416399858542992bbf7f69f6954aadf8873330e384f99841",
     "threshold-fci-qpe-n2-2041.75": "670b3fbff521ca083f1039a7c3c5feda2f4718e8a6dfd4b2507cdc56daa1d819",
@@ -76,8 +108,17 @@ def _perturbed_scenario_file(directory: pathlib.Path) -> str:
     return str(path)
 
 
+def _custom_scenario_file(directory: pathlib.Path) -> str:
+    path = directory / "custom.json"
+    path.write_text(json.dumps(CUSTOM_DOC), encoding="utf-8")
+    return str(path)
+
+
+SCENARIO_FILES = {SCENARIO: _perturbed_scenario_file, CUSTOM_SCENARIO: _custom_scenario_file}
+
+
 def _stdout_sha256(name: str, directory: pathlib.Path) -> str:
-    argv = [_perturbed_scenario_file(directory) if arg == SCENARIO else arg for arg in CASES[name]]
+    argv = [SCENARIO_FILES[arg](directory) if arg in SCENARIO_FILES else arg for arg in CASES[name]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)

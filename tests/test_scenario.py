@@ -113,6 +113,32 @@ class TestVariations:
             Variation(name="bad", quantum_time=0.0)
 
 
+# Invalid scenario documents, each with the file key or dotted path its
+# error message must name.
+STRICT_REJECTS = [
+    ({"unknown_top": 1}, "unknown_top"),
+    ({"classical": {"flops": {}}}, "flops"),
+    ({"quantum": {"tgate_trend": {}}}, "tgate_trend"),
+    ({"quantum": {"logical_tgate_trend": {"base": 2025}}}, "base"),
+    ({"quantum": {"surface_code": {"alpha": 0.1}}}, "alpha"),
+    ({"overrides": {"no-such-method": {"constant": 2.0}}}, "no-such-method"),
+    ({"overrides": {"CCSD": {"qubit_constant": 5.0}}}, "overrides.CCSD"),  # classical has no qubit law
+    ({"overrides": {"qpe-n3": {"misfield": 1}}}, "misfield"),
+    ({"epsilon": 2.0}, "epsilon"),
+    ({"epsilon": "small"}, "epsilon"),
+    ({"quantum": {"mode": "annealer"}}, "mode"),
+    ({"quantum": {"logical_tgate_trend": {"annual_factor": "fast"}}}, "quantum.logical_tgate_trend.annual_factor"),
+    ({"overrides": {"qpe-n3": {"constant": True}}}, "overrides.qpe-n3.constant"),
+    ({"start_year": 2025.5}, "start_year"),
+    ({"horizon": 2050.25}, "horizon"),
+    ({"horizon": float("inf")}, "horizon"),
+    ({"deadline_s": float("inf")}, "deadline_s"),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"horizon": 100000000}, "horizon"),
+    ({"start_year": 1000, "horizon": 2050}, "start_year"),
+]
+
+
 class TestFileFormat:
     def test_default_round_trip_bit_equal(self):
         s = default_scenario()
@@ -146,34 +172,16 @@ class TestFileFormat:
         assert s.algorithms["CCSD(T)"].constant == 0.5
         assert s.algorithms["qpe-n2"].fidelity == 0.9
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"unknown_top": 1},
-            {"classical": {"flops": {}}},
-            {"quantum": {"tgate_trend": {}}},
-            {"quantum": {"logical_tgate_trend": {"base": 2025}}},
-            {"quantum": {"surface_code": {"alpha": 0.1}}},
-            {"overrides": {"no-such-method": {"constant": 2.0}}},
-            {"overrides": {"CCSD": {"qubit_constant": 5.0}}},  # classical has no qubit law
-            {"overrides": {"qpe-n3": {"misfield": 1}}},
-            {"epsilon": 2.0},
-            {"epsilon": "small"},
-            {"quantum": {"mode": "annealer"}},
-            {"quantum": {"logical_tgate_trend": {"annual_factor": "fast"}}},
-            {"overrides": {"qpe-n3": {"constant": True}}},
-            {"start_year": 2025.5},
-            {"horizon": 2050.25},
-            {"horizon": float("inf")},
-            {"deadline_s": float("inf")},
-            {"epsilon": float("nan")},
-            {"horizon": 100000000},
-            {"start_year": 1000, "horizon": 2050},
-        ],
-    )
+    @pytest.mark.parametrize("doc", [doc for doc, _ in STRICT_REJECTS])
     def test_strict_rejects(self, doc):
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, key", STRICT_REJECTS)
+    def test_rejection_names_the_key(self, doc, key):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert key in str(err.value)
 
     def test_whole_float_years_load_as_int(self):
         s = scenario_from_dict(json.loads('{"start_year": 2030.0, "horizon": 2040.0}'))
