@@ -13,20 +13,28 @@ answers three questions:
 All comparisons run on log-runtimes so exponential classical laws never
 overflow.  Thresholds solve in closed form when both laws are
 polynomial on simple-mode hardware, and by bisection in log N
-otherwise; the continuous answer is then snapped so that its ceiling is
-exactly the smallest advantageous integer.  Feasible sizes work the
-same way in simple mode: both limits are monomials in N, so each is
-solved in closed form and snapped against its own fits predicate; in
-surface-code mode they are searched.
+otherwise; below _SNAP_LIMIT the answer is then snapped so that its
+ceiling is exactly the smallest advantageous integer.  Feasible sizes
+work the same way in simple mode: both limits are monomials in N, so
+each is solved in closed form and snapped against its own fits
+predicate; in surface-code mode they are searched.
 
-Every solve evaluates one closure from cost._log_seconds_kernel, which
-computes the N-free terms (law constants, eps, fidelity and, in simple
-mode, both throughputs) once per solve and gives values bit-identical to
-log_quantum_seconds - log_classical_seconds.  In surface-code mode the
-code distance, and so the quantum throughput, still moves with N; the
-bisection assumes a single sign change of the gap, so where a distance
-step makes the gap non-monotone it can return a later crossing than the
-first.
+The year scan needs no threshold in simple mode with a polynomial
+quantum law: the gap, K + (a_q - a_c) u - e^u ln beta_c in u = ln N, is
+concave, so it is smallest on [1, M] at an end, and once gap(1) > 0 the
+advantageous sizes are [N0, inf).  A year with feasible size M is
+advantageous iff M >= 1 and min(gap(1), gap(M)) <= 0, as ceil(threshold)
+<= M is for the snapped threshold; the threshold is absent iff gap(1) > 0
+and the quantum law grows at least as fast.  Past _SNAP_LIMIT no snap
+backs that, so M >= _SNAP_LIMIT (or a NaN gap) still asks qea_threshold.
+
+Every gap comes from one factory, cost._log_seconds_builder, and every
+envelope from builders like it: year-free terms once per scan, trends
+once a year, values bit-identical to the unfused functions.  In
+surface-code mode the code distance, and so the quantum throughput,
+moves with N, so the scan solves every year; the bisection assumes a
+single sign change of the gap, so where a distance step makes the gap
+non-monotone it can return a later crossing than the first.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import AlgorithmSpec
-from .cost import _log_seconds_kernel, log_quantum_seconds
+from .cost import _log_seconds_builder, _log_seconds_kernel
 from .errors import DomainError
 from .hardware import available_logical_qubits
 from .scenario import Scenario
@@ -72,7 +80,8 @@ _LOG_TOL = 1e-12
 _LOG_N_MAX = 256.0
 
 # Integer snapping is only meaningful (and affordable) while one unit of
-# N still moves the log-runtime gap by more than float resolution.
+# N still moves the log-runtime gap by more than float resolution; the
+# year scan's endpoint test rests on the snap, so it stops here too.
 _SNAP_LIMIT = 1e9
 
 # ln N beyond which a size estimate is past SIZE_CAP (e^40 ~ 2.4e17).
@@ -124,16 +133,26 @@ def verdict_key(result: DisruptionResult, horizon: int) -> float:
     return float(result.verdict)
 
 
+def _check_kind(spec: AlgorithmSpec, kind: str) -> None:
+    if spec.kind != kind:
+        raise DomainError(f"{spec.name!r} is not a {kind} method")
+
+
 def _check_pair(classical: AlgorithmSpec, quantum: AlgorithmSpec) -> None:
-    if classical.kind != "classical":
-        raise DomainError(f"{classical.name!r} is not a classical method")
-    if quantum.kind != "quantum":
-        raise DomainError(f"{quantum.name!r} is not a quantum method")
+    _check_kind(classical, "classical")
+    _check_kind(quantum, "quantum")
 
 
 def _check_year(year: float) -> None:
     if not math.isfinite(year):
         raise DomainError(f"year must be finite, got {year!r}")
+
+
+def _catches_up(classical: AlgorithmSpec, quantum: AlgorithmSpec) -> bool:
+    """Whether the quantum law grows slower, so a gap positive at N = 1 turns."""
+    growth_q, growth_c = math.log(quantum.cost_law.exp_base), math.log(classical.cost_law.exp_base)
+    a_q, a_c = quantum.cost_law.size_exponent, classical.cost_law.size_exponent
+    return not (growth_q > growth_c or (growth_q == growth_c and a_q >= a_c))
 
 
 def qea_threshold(
@@ -149,16 +168,11 @@ def qea_threshold(
     if gap1 <= 0:
         return 1.0
 
-    growth_q = math.log(quantum.cost_law.exp_base)
-    growth_c = math.log(classical.cost_law.exp_base)
-    a_q = quantum.cost_law.size_exponent
-    a_c = classical.cost_law.size_exponent
-    if growth_q > growth_c or (growth_q == growth_c and a_q >= a_c):
-        return None  # quantum never catches up
-
-    simple_poly = (
-        scenario.quantum.mode == "simple" and growth_q == 0.0 and growth_c == 0.0
-    )
+    if not _catches_up(classical, quantum):
+        return None
+    growth_q, growth_c = math.log(quantum.cost_law.exp_base), math.log(classical.cost_law.exp_base)
+    a_q, a_c = quantum.cost_law.size_exponent, classical.cost_law.size_exponent
+    simple_poly = scenario.quantum.mode == "simple" and growth_q == growth_c == 0.0
     if simple_poly:
         # gap(N) = gap(1) + (a_q - a_c) ln N, so the root is direct.
         # Capped like the bracket search: a near-tie of the exponents
@@ -268,47 +282,70 @@ def _monomial_size(log_room: float, exponent: float) -> float:
 
 def _solvable_in_closed_form(law, scenario: Scenario) -> bool:
     # Simple-mode hardware does not depend on the workload, so a
-    # polynomial law leaves each limit a plain monomial in N.
+    # polynomial law leaves each limit a plain monomial in N, and its
+    # gap to any classical law concave in ln N.
     return scenario.quantum.mode == "simple" and law.exp_base == 1
 
 
-def _deadline_fits(quantum: AlgorithmSpec, year: float, log_deadline: float, scenario: Scenario):
-    log_seconds = _log_seconds_kernel(quantum, year, scenario)
-    return lambda n: log_seconds(float(n)) <= log_deadline
+def _qubit_limit(quantum: AlgorithmSpec, scenario: Scenario):
+    """year -> qubit_limited_size(quantum, year, scenario)."""
+    law, platform, epsilon = quantum.qubit_law, scenario.quantum, scenario.epsilon
+    closed, log_constant = _solvable_in_closed_form(law, scenario), math.log(law.constant)
+
+    def limit(year: float) -> int:
+        if platform.mode == "simple":
+            # Simple mode ignores the T-count; the supply is one number a year.
+            supply = available_logical_qubits(platform, year, 1.0)
+            fits = lambda n: law.value(n, 1.0) <= supply  # noqa: E731
+        else:
+            def fits(n: int) -> bool:
+                need = law.value(n, 1.0)
+                return need <= available_logical_qubits(platform, year, quantum.cost_law.value(n, epsilon))
+        if not closed:
+            return _largest_true(fits)
+        log_room = (math.log(supply) if supply > 0 else -math.inf) - log_constant
+        return _snap_largest(fits, _monomial_size(log_room, law.size_exponent))
+
+    return limit
 
 
-def _qubit_fits(quantum: AlgorithmSpec, year: float, scenario: Scenario):
-    law, platform = quantum.qubit_law, scenario.quantum
-    if platform.mode == "simple":
-        # Simple mode ignores the T-count; the supply is one number a year.
-        supply = available_logical_qubits(platform, year, 1.0)
-        return lambda n: law.value(n, 1.0) <= supply
+def _deadline_limit(quantum: AlgorithmSpec, deadline_s: float, scenario: Scenario):
+    """year -> deadline_limited_size(quantum, year, deadline_s, scenario)."""
+    log_deadline = math.log(deadline_s)
+    log_seconds_at = _log_seconds_builder(quantum, scenario)
+    closed, exponent = _solvable_in_closed_form(quantum.cost_law, scenario), quantum.cost_law.size_exponent
 
-    def fits(n: int) -> bool:
-        need = law.value(n, 1.0)
-        t_count = quantum.cost_law.value(n, scenario.epsilon)
-        return need <= available_logical_qubits(platform, year, t_count)
+    def limit(year: float) -> int:
+        log_seconds = log_seconds_at(year)
+        fits = lambda n: log_seconds(float(n)) <= log_deadline  # noqa: E731
+        if not closed:
+            return _largest_true(fits)
+        # ln seconds(N) = ln seconds(1) + a ln N.
+        return _snap_largest(fits, _monomial_size(log_deadline - log_seconds(1.0), exponent))
 
-    return fits
+    return limit
 
 
-def deadline_limited_size(
-    quantum: AlgorithmSpec, year: float, deadline_s: float, scenario: Scenario
-) -> int:
+def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
+    """year -> feasibility_envelope(quantum, year, scenario)."""
+    qubit_limit = _qubit_limit(quantum, scenario)
+    deadline_limit = _deadline_limit(quantum, scenario.deadline_s, scenario)
+
+    def envelope(year: float) -> FeasibilityEnvelope:
+        qubit_n, deadline_n = qubit_limit(year), deadline_limit(year)
+        return FeasibilityEnvelope(year, qubit_n, deadline_n, min(qubit_n, deadline_n))
+
+    return envelope
+
+
+def deadline_limited_size(quantum: AlgorithmSpec, year: float, deadline_s: float, scenario: Scenario) -> int:
     """Largest N whose quantum runtime fits within the deadline; 0 if
     none does."""
-    if quantum.kind != "quantum":
-        raise DomainError(f"{quantum.name!r} is not a quantum method")
+    _check_kind(quantum, "quantum")
     _check_year(year)
     if not deadline_s > 0:
         raise DomainError("deadline_s must be > 0")
-    log_deadline = math.log(deadline_s)
-    fits = _deadline_fits(quantum, year, log_deadline, scenario)
-    if not _solvable_in_closed_form(quantum.cost_law, scenario):
-        return _largest_true(fits)
-    # ln seconds(N) = ln seconds(1) + a ln N.
-    log_room = log_deadline - log_quantum_seconds(quantum, 1.0, year, scenario)
-    return _snap_largest(fits, _monomial_size(log_room, quantum.cost_law.size_exponent))
+    return _deadline_limit(quantum, deadline_s, scenario)(year)
 
 
 def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> int:
@@ -318,31 +355,18 @@ def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) 
     T-count of the same N being tested (bigger workloads push the code
     distance, and with it the physical-per-logical ratio, up).
     """
-    if quantum.kind != "quantum":
-        raise DomainError(f"{quantum.name!r} is not a quantum method")
+    _check_kind(quantum, "quantum")
     _check_year(year)
-    fits = _qubit_fits(quantum, year, scenario)
-    law = quantum.qubit_law
-    if not _solvable_in_closed_form(law, scenario):
-        return _largest_true(fits)
-    # Simple mode ignores the T-count; the supply is one number a year.
-    supply = available_logical_qubits(scenario.quantum, year, 1.0)
-    log_room = (math.log(supply) if supply > 0 else -math.inf) - math.log(law.constant)
-    return _snap_largest(fits, _monomial_size(log_room, law.size_exponent))
+    return _qubit_limit(quantum, scenario)(year)
 
 
 def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> FeasibilityEnvelope:
     """Both size limits for one quantum method in one year: closed form
     and integer snap in simple mode, doubling-and-bisection search in
     surface-code mode (where the code distance moves with N)."""
-    qubit_n = qubit_limited_size(quantum, year, scenario)
-    deadline_n = deadline_limited_size(quantum, year, scenario.deadline_s, scenario)
-    return FeasibilityEnvelope(
-        year=year,
-        qubit_limited_n=qubit_n,
-        deadline_limited_n=deadline_n,
-        max_feasible_n=min(qubit_n, deadline_n),
-    )
+    _check_kind(quantum, "quantum")
+    _check_year(year)
+    return _envelope_builder(quantum, scenario)(year)
 
 
 def advantage_region(
@@ -361,8 +385,8 @@ def advantage_region(
     )
 
 
-def _blocking_constraint(threshold, envelope: FeasibilityEnvelope) -> str:
-    if threshold is None:
+def _blocking_constraint(threshold_exists: bool, envelope: FeasibilityEnvelope) -> str:
+    if not threshold_exists:
         return "qea"
     if envelope.qubit_limited_n <= envelope.deadline_limited_n:
         return "qubits"
@@ -385,31 +409,56 @@ def first_advantage_year(
 
 
 def _scan_years(
-    classical: AlgorithmSpec,
-    quantum: AlgorithmSpec,
-    scenario: Scenario,
-    envelopes: dict[int, FeasibilityEnvelope],
+    classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario, envelopes: dict[int, FeasibilityEnvelope]
 ) -> DisruptionResult:
     """The year scan of first_advantage_year.  `envelopes` maps year to
     envelope for this quantum method and scenario; the scan reads it and
     adds what it builds, so tables that pass one dict per quantum column
     build each envelope once however many rows scan it."""
     _check_pair(classical, quantum)
+    build_envelope = _envelope_builder(quantum, scenario)
+    year_test = _year_test(classical, quantum, scenario)
     last_block = None
     any_threshold = False
     for year in scenario.years():
-        threshold = qea_threshold(classical, quantum, year, scenario)
+        decide = year_test(year)
         envelope = envelopes.get(year)
         if envelope is None:
-            envelope = envelopes[year] = feasibility_envelope(quantum, year, scenario)
-        if threshold is not None:
-            any_threshold = True
-            if math.ceil(threshold) <= envelope.max_feasible_n:
-                constraint = "none" if last_block is None else _blocking_constraint(*last_block)
-                return DisruptionResult(verdict=year, binding_constraint=constraint)
-        last_block = (threshold, envelope)
+            envelope = envelopes[year] = build_envelope(year)
+        exists, nonempty = decide(envelope)
+        any_threshold = any_threshold or exists
+        if nonempty:
+            constraint = "none" if last_block is None else _blocking_constraint(*last_block)
+            return DisruptionResult(verdict=year, binding_constraint=constraint)
+        last_block = (exists, envelope)
     if any_threshold:
-        return DisruptionResult(
-            verdict=BEYOND_HORIZON, binding_constraint=_blocking_constraint(*last_block)
-        )
+        return DisruptionResult(verdict=BEYOND_HORIZON, binding_constraint=_blocking_constraint(*last_block))
     return DisruptionResult(verdict=NEVER, binding_constraint="qea")
+
+
+def _year_test(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
+    """year -> (envelope -> (a threshold exists, the region is nonempty)).  The outer
+    call reads the year's trends before the envelope's, as the threshold solve does."""
+
+    def solved(year: int):
+        threshold = qea_threshold(classical, quantum, year, scenario)
+        exists = threshold is not None
+        return lambda envelope: (exists, exists and math.ceil(threshold) <= envelope.max_feasible_n)
+
+    if not _solvable_in_closed_form(quantum.cost_law, scenario):
+        return solved
+    gap_at = _log_seconds_builder(quantum, scenario, classical)
+    catches_up = _catches_up(classical, quantum)
+
+    def root_free(year: int):
+        gap = gap_at(year)
+
+        def decide(envelope: FeasibilityEnvelope) -> tuple[bool, bool]:
+            m, gap1 = envelope.max_feasible_n, gap(1.0)
+            if m >= _SNAP_LIMIT or math.isnan(gap1):
+                return solved(year)(envelope)
+            return gap1 <= 0 or catches_up, m >= 1 and (gap1 <= 0 or (catches_up and gap(float(m)) <= 0))
+
+        return decide
+
+    return root_free

@@ -100,17 +100,21 @@ def log_quantum_seconds(alg: AlgorithmSpec, n: float, year: float, scenario: Sce
 def _log_seconds_kernel(
     quantum: AlgorithmSpec, year: float, scenario: Scenario, classical: AlgorithmSpec | None = None
 ):
-    """n -> log_quantum_seconds(quantum, n, ...) - log_classical_seconds(classical, n, ...),
-    or n -> log_quantum_seconds(quantum, n, ...) when classical is None.
+    return _log_seconds_builder(quantum, scenario, classical)(year)
 
-    The solvers evaluate this for one (pair, year, scenario) at many n,
-    so every term that does not depend on n (the law constants' logs,
-    b log eps, log beta, log(1/F) and the log-throughputs) is computed
-    here once.  The closure then repeats the float operations of
-    ComplexityModel.log_value and the two log_*_seconds functions in
-    their order, so each value is bit-identical to the unfused one.
-    Surface-code throughput depends on the T-count, so there it is still
-    evaluated per n.
+
+def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: AlgorithmSpec | None = None):
+    """year -> _log_seconds_kernel(quantum, year, scenario, classical):
+    n -> log_quantum_seconds(quantum, n, year, ...) - log_classical_seconds(classical, n, year, ...),
+    or n -> log_quantum_seconds(quantum, n, year, ...) when classical is None.
+
+    Each term is computed as rarely as it can be: the year-free ones (the
+    law constants' logs, b log eps, log beta, log(1/F)) once here, the
+    log-throughputs once per year, and only the n terms per call.  The
+    closures repeat the float operations of ComplexityModel.log_value and
+    the two log_*_seconds functions in their order, so each value is
+    bit-identical to the unfused one.  Surface-code throughput depends on
+    the T-count, so there it is evaluated per n.
     """
     _require_kind(quantum, "quantum")
     q_law, platform = quantum.cost_law, scenario.quantum
@@ -118,48 +122,52 @@ def _log_seconds_kernel(
     q_const, q_a = math.log(q_law.constant), q_law.size_exponent
     q_eps, q_beta = q_law.inv_error_exponent * math.log(scenario.epsilon), math.log(q_law.exp_base)
     simple = platform.mode == "simple"
-    if simple:
-        q_throughput = math.log(platform.logical_tgates_per_dollar_second.value(year))
-    elif classical is not None:
-        # Raise what the quantum side raises before anything the classical
-        # side could, as the unfused difference does.
-        _log_quantum_throughput(platform, year, 0.0)
     log = math.log
+    if classical is not None:
+        _require_kind(classical, "classical")
+        c_law = classical.cost_law
+        c_const, c_a = math.log(c_law.constant), c_law.size_exponent
+        c_eps, c_beta = c_law.inv_error_exponent * math.log(1.0), math.log(c_law.exp_base)
 
-    if classical is None:
+    def at_year(year: float):
         if simple:
-            return lambda n: (log_reps + (((q_const + q_a * log(n)) - q_eps) + n * q_beta)) - q_throughput
+            q_throughput = log(platform.logical_tgates_per_dollar_second.value(year))
+        elif classical is not None:
+            # Raise what the quantum side raises before anything the
+            # classical side could, as the unfused difference does.
+            _log_quantum_throughput(platform, year, 0.0)
 
-        def log_quantum(n: float) -> float:
-            log_t = ((q_const + q_a * log(n)) - q_eps) + n * q_beta
-            return (log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)
+        if classical is None:
+            if simple:
+                return lambda n: (log_reps + (((q_const + q_a * log(n)) - q_eps) + n * q_beta)) - q_throughput
 
-        return log_quantum
+            def log_quantum(n: float) -> float:
+                log_t = ((q_const + q_a * log(n)) - q_eps) + n * q_beta
+                return (log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)
 
-    _require_kind(classical, "classical")
-    c_law = classical.cost_law
-    c_const, c_a = math.log(c_law.constant), c_law.size_exponent
-    c_eps, c_beta = c_law.inv_error_exponent * math.log(1.0), math.log(c_law.exp_base)
-    c_throughput = math.log(classical_throughput(scenario.classical, year))
+            return log_quantum
 
-    if simple:
+        c_throughput = log(classical_throughput(scenario.classical, year))
 
-        def gap(n: float) -> float:
+        if simple:
+            def gap(n: float) -> float:
+                log_n = log(n)
+                return ((log_reps + (((q_const + q_a * log_n) - q_eps) + n * q_beta)) - q_throughput) - (
+                    (((c_const + c_a * log_n) - c_eps) + n * c_beta) - c_throughput
+                )
+
+            return gap
+
+        def surface_gap(n: float) -> float:
             log_n = log(n)
-            return ((log_reps + (((q_const + q_a * log_n) - q_eps) + n * q_beta)) - q_throughput) - (
+            log_t = ((q_const + q_a * log_n) - q_eps) + n * q_beta
+            return ((log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)) - (
                 (((c_const + c_a * log_n) - c_eps) + n * c_beta) - c_throughput
             )
 
-        return gap
+        return surface_gap
 
-    def surface_gap(n: float) -> float:
-        log_n = log(n)
-        log_t = ((q_const + q_a * log_n) - q_eps) + n * q_beta
-        return ((log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)) - (
-            (((c_const + c_a * log_n) - c_eps) + n * c_beta) - c_throughput
-        )
-
-    return surface_gap
+    return at_year
 
 
 def flop_adjusted_constant(runtime_s: float, peak_flops: float, n: int, exponent: float) -> float:

@@ -69,6 +69,8 @@ class ExponentialTrend:
     annual_factor: float
 
     def __post_init__(self):
+        if not math.isfinite(self.base_year):
+            raise DomainError(f"base_year must be finite, got {self.base_year}")
         if not self.base_value > 0:
             raise DomainError(f"base_value must be > 0, got {self.base_value}")
         if not self.annual_factor > 0:

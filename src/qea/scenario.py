@@ -272,6 +272,7 @@ class _Section:
 
 
 _TREND_FIELDS = {key: (key, _number) for key in ("base_year", "base_value", "annual_factor")}
+_TREND_FIELDS["base_year"] = ("base_year", _finite)
 
 
 _SCHEMA = _Section(

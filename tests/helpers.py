@@ -1,7 +1,8 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and counters for the test suite."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 from qea import (
@@ -56,3 +57,25 @@ def with_tuning(scenario, name, **fields):
     algorithms = dict(scenario.algorithms)
     algorithms[key] = dataclasses.replace(algorithms[key], **fields)
     return dataclasses.replace(scenario, algorithms=algorithms)
+
+
+def count_envelopes(monkeypatch):
+    """Counter of the envelopes built per (quantum spec, year), through the
+    per-scan envelope builder that the year scan and feasibility_envelope
+    share."""
+    import qea.advantage as advantage
+
+    counts = collections.Counter()
+    original = advantage._envelope_builder
+
+    def counting(quantum, scenario):
+        build = original(quantum, scenario)
+
+        def envelope(year):
+            counts[(quantum, year)] += 1
+            return build(year)
+
+        return envelope
+
+    monkeypatch.setattr(advantage, "_envelope_builder", counting)
+    return counts

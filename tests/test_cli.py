@@ -211,6 +211,13 @@ class TestScenarioHandling:
         assert code == 3
         assert out == "" and "error" in err
 
+    def test_nan_base_year_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"classical": {"flops_trend": {"base_year": NaN}}}', encoding="utf-8")
+        code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
+        assert code == 3
+        assert out == "" and "classical.flops_trend.base_year" in err
+
     def test_far_horizon_table_exit_3(self, capsys, tmp_path):
         path = tmp_path / "far.json"
         path.write_text(

@@ -1,17 +1,16 @@
 """Feasibility envelopes: the simple-mode closed form against the search,
 and envelope sharing inside tables."""
 
-import collections
 import math
 
 from hypothesis import example, given, settings, strategies as st
 
-import qea.advantage as advantage
 from qea import (
     AlgorithmSpec,
     ComplexityModel,
     Variation,
     apply_variation,
+    available_logical_qubits,
     default_scenario,
     deadline_limited_size,
     disruption_table,
@@ -20,10 +19,11 @@ from qea import (
     robustness_table,
     standard_variations,
 )
-from qea.advantage import SIZE_CAP, _deadline_fits, _largest_true, _qubit_fits
+from qea.advantage import SIZE_CAP, _largest_true
+from qea.cost import log_quantum_seconds
 from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS
 
-from helpers import make_scenario
+from helpers import count_envelopes, make_scenario
 
 log10 = st.floats(min_value=-12.0, max_value=25.0)
 exponent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0))
@@ -71,8 +71,15 @@ def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, ye
 @example(qubit_c=0.0, qubit_a=1.0, cost_c=0.0, cost_a=1.0, physical=14.9, ratio=0.0, tgate=0.0, deadline=17.9, year=2024)
 def test_closed_form_sizes_equal_search(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year):
     spec, scenario, year = _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year)
-    qubit_fits = _qubit_fits(spec, year, scenario)
-    deadline_fits = _deadline_fits(spec, year, math.log(scenario.deadline_s), scenario)
+    supply = available_logical_qubits(scenario.quantum, year, 1.0)
+    log_deadline = math.log(scenario.deadline_s)
+
+    def qubit_fits(n):
+        return spec.qubit_law.value(n, 1.0) <= supply
+
+    def deadline_fits(n):
+        return log_quantum_seconds(spec, float(n), year, scenario) <= log_deadline
+
     assert qubit_limited_size(spec, year, scenario) == _largest_true(qubit_fits)
     assert deadline_limited_size(spec, year, scenario.deadline_s, scenario) == _largest_true(deadline_fits)
 
@@ -93,21 +100,9 @@ def test_closed_form_edge_cases_land_where_named():
     assert 10**14 < qubit_limited_size(near_cap[0], near_cap[2], near_cap[1]) < SIZE_CAP
 
 
-def _count_envelopes(monkeypatch):
-    counts = collections.Counter()
-    original = advantage.feasibility_envelope
-
-    def counting(quantum, year, scenario):
-        counts[(quantum, year)] += 1
-        return original(quantum, year, scenario)
-
-    monkeypatch.setattr(advantage, "feasibility_envelope", counting)
-    return counts
-
-
 def test_disruption_table_builds_each_envelope_once(monkeypatch):
     s = default_scenario()
-    counts = _count_envelopes(monkeypatch)
+    counts = count_envelopes(monkeypatch)
     table = disruption_table(s, list(QUANTUM_TABLE_METHODS), list(CLASSICAL_TABLE_METHODS))
     assert counts and max(counts.values()) == 1
     assert {q.name for q, _ in counts} == set(QUANTUM_TABLE_METHODS)
@@ -118,7 +113,7 @@ def test_disruption_table_builds_each_envelope_once(monkeypatch):
 def test_robustness_table_builds_each_envelope_once(monkeypatch):
     s = default_scenario()
     variations = standard_variations() + [Variation(name="same", classical_time=1.0)]
-    counts = _count_envelopes(monkeypatch)
+    counts = count_envelopes(monkeypatch)
     table = robustness_table(s, variations, "qpe-n3", ["HF", "CCSDT", "FCI"])
     assert counts and max(counts.values()) == 1
     for (c, column), cell in table.cells.items():

@@ -60,6 +60,13 @@ CASES = {
     "table-csv": ["table", "--format", "csv"],
     "table-text": ["table"],
     "robustness-csv": ["robustness", "--format", "csv"],
+    # Catalog-only methods and a_q > a_c pairs (qpe-n5 against DMRG,
+    # VMC, DFT, HF, MP2), whose advantage can start at N = 1.
+    "table-catalog-csv": [
+        "table", "--classical", "DMRG,VMC,DFT,HF,MP2,CCSDT,FCI", "--quantum", "qpe-n5,qpe-n3,qpe-n2",
+        "--format", "csv",
+    ],
+    "robustness-qpe-n5-csv": ["robustness", "--quantum", "qpe-n5", "--classical", "DMRG,VMC,DFT,MP2,FCI", "--format", "csv"],
     "curve-fci-n3": ["curve", "--classical", "FCI", "--quantum", "qpe-n3", "--step", "0.25", "--format", "csv"],
     "curve-ccsdt-n2": ["curve", "--classical", "CCSDT", "--quantum", "qpe-n2", "--step", "0.25", "--format", "csv"],
     **{
@@ -87,6 +94,8 @@ GOLDEN = {
     "curve-ccsdt-n2": "b3804773fa2d3746bcf02f987eaf96144bcbfa7699ef4b9772ed7bb7facb5e5e",
     "curve-fci-n3": "0b9b238011384d4a86539a82c6800b347969af6ed974f58ad09d3a00467a480f",
     "robustness-csv": "dc002441c54c4e1c13ddc24d75b0c952fa5827abbbadb073242acf0d0c6a4240",
+    "robustness-qpe-n5-csv": "f2f8b3256a30651e7529d2430ad9a1e282779a10a3bd79825ec3da9f95ccd794",
+    "table-catalog-csv": "717641ec2508df189a75c2bb7c5c097415ad7c6ba8cbe604fbce81fc1f320e83",
     "table-csv": "97ead809bf097ac2304657e83868d635d3b2e73eb4faad090ee6b63b00a6af78",
     "table-text": "7c933d6d40c1f30881f7131dcd802fd7de6206c6bf7f355c4725ef974b602567",
     "threshold-custom-scenario": "4861e6e6d5d56d022960973bea4530dd0a9a1c637a6b747c3534b24e9cfef27f",

@@ -48,6 +48,13 @@ class TestTrend:
             trend_value(trend, 1000)
         assert trend_value(trend, 1500) > 0
 
+    @pytest.mark.parametrize("base_year", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base_year_is_a_domain_error(self, base_year):
+        # A NaN base year would make every value NaN, and NaN compares
+        # false against any bound downstream.
+        with pytest.raises(DomainError, match="base_year must be finite"):
+            ExponentialTrend(base_year, 1e18, 1.4)
+
     def test_backward_extrapolation(self):
         trend = ExponentialTrend(2025, 100.0, 2.0)
         assert trend_value(trend, 2024) == pytest.approx(50.0, rel=1e-12)

@@ -136,6 +136,7 @@ STRICT_REJECTS = [
     ({"epsilon": float("nan")}, "epsilon"),
     ({"horizon": 100000000}, "horizon"),
     ({"start_year": 1000, "horizon": 2050}, "start_year"),
+    ({"classical": {"flops_trend": {"base_year": float("nan")}}}, "classical.flops_trend.base_year"),
 ]
 
 
