@@ -26,7 +26,7 @@ advantageous sizes are [N0, inf).  A year with feasible size M is
 advantageous iff M >= 1 and min(gap(1), gap(M)) <= 0, as ceil(threshold)
 <= M is for the snapped threshold; the threshold is absent iff gap(1) > 0
 and the quantum law grows at least as fast.  Past _SNAP_LIMIT no snap
-backs that, so M >= _SNAP_LIMIT (or a NaN gap) still asks qea_threshold.
+backs that, so M >= _SNAP_LIMIT still asks qea_threshold.
 
 Every gap comes from one factory, cost._log_seconds_builder, and every
 envelope from builders like it: year-free terms once per scan, trends
@@ -43,9 +43,9 @@ import math
 from dataclasses import dataclass
 
 from .catalog import AlgorithmSpec
-from .cost import _log_seconds_builder, _log_seconds_kernel
+from .cost import _log_seconds_builder, _require_kind
 from .errors import DomainError
-from .hardware import available_logical_qubits
+from .hardware import _logical_qubits_from_log, available_logical_qubits
 from .scenario import Scenario
 
 __all__ = [
@@ -133,16 +133,6 @@ def verdict_key(result: DisruptionResult, horizon: int) -> float:
     return float(result.verdict)
 
 
-def _check_kind(spec: AlgorithmSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise DomainError(f"{spec.name!r} is not a {kind} method")
-
-
-def _check_pair(classical: AlgorithmSpec, quantum: AlgorithmSpec) -> None:
-    _check_kind(classical, "classical")
-    _check_kind(quantum, "quantum")
-
-
 def _check_year(year: float) -> None:
     if not math.isfinite(year):
         raise DomainError(f"year must be finite, got {year!r}")
@@ -161,9 +151,9 @@ def qea_threshold(
     """Smallest real N >= 1 with quantum runtime <= classical runtime,
     or None when no such size exists (the quantum law grows at least as
     fast and is costlier per-operation already at N = 1)."""
-    _check_pair(classical, quantum)
+    gap_at = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
     _check_year(year)
-    gap = _log_seconds_kernel(quantum, year, scenario, classical)
+    gap = gap_at(year)
     gap1 = gap(1.0)
     if gap1 <= 0:
         return 1.0
@@ -217,18 +207,18 @@ def qea_threshold(
     return threshold
 
 
-def _largest_true(predicate, cap: int = SIZE_CAP) -> int:
-    """Largest integer N in [1, cap] satisfying a monotone predicate,
+def _largest_true(predicate) -> int:
+    """Largest integer N in [1, SIZE_CAP] satisfying a monotone predicate,
     0 if even N = 1 fails."""
     if not predicate(1):
         return 0
     lo, hi = 1, 2
-    while hi <= cap and predicate(hi):
+    while hi <= SIZE_CAP and predicate(hi):
         lo, hi = hi, hi * 2
-    if hi > cap:
-        if predicate(cap):
-            return cap
-        hi = cap
+    if hi > SIZE_CAP:
+        if predicate(SIZE_CAP):
+            return SIZE_CAP
+        hi = SIZE_CAP
     return _bisect_largest(predicate, lo, hi)
 
 
@@ -299,8 +289,10 @@ def _qubit_limit(quantum: AlgorithmSpec, scenario: Scenario):
             fits = lambda n: law.value(n, 1.0) <= supply  # noqa: E731
         else:
             def fits(n: int) -> bool:
-                need = law.value(n, 1.0)
-                return need <= available_logical_qubits(platform, year, quantum.cost_law.value(n, epsilon))
+                need, t_count = law.value(n, 1.0), quantum.cost_law.value(n, epsilon)
+                if t_count == math.inf:  # past float range: the supply from ln T instead
+                    return need <= _logical_qubits_from_log(platform, year, quantum.cost_law.log_value(n, epsilon))
+                return need <= available_logical_qubits(platform, year, t_count)
         if not closed:
             return _largest_true(fits)
         log_room = (math.log(supply) if supply > 0 else -math.inf) - log_constant
@@ -341,7 +333,7 @@ def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
 def deadline_limited_size(quantum: AlgorithmSpec, year: float, deadline_s: float, scenario: Scenario) -> int:
     """Largest N whose quantum runtime fits within the deadline; 0 if
     none does."""
-    _check_kind(quantum, "quantum")
+    _require_kind(quantum, "quantum")
     _check_year(year)
     if not deadline_s > 0:
         raise DomainError("deadline_s must be > 0")
@@ -355,7 +347,7 @@ def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) 
     T-count of the same N being tested (bigger workloads push the code
     distance, and with it the physical-per-logical ratio, up).
     """
-    _check_kind(quantum, "quantum")
+    _require_kind(quantum, "quantum")
     _check_year(year)
     return _qubit_limit(quantum, scenario)(year)
 
@@ -364,7 +356,7 @@ def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario
     """Both size limits for one quantum method in one year: closed form
     and integer snap in simple mode, doubling-and-bisection search in
     surface-code mode (where the code distance moves with N)."""
-    _check_kind(quantum, "quantum")
+    _require_kind(quantum, "quantum")
     _check_year(year)
     return _envelope_builder(quantum, scenario)(year)
 
@@ -415,7 +407,8 @@ def _scan_years(
     envelope for this quantum method and scenario; the scan reads it and
     adds what it builds, so tables that pass one dict per quantum column
     build each envelope once however many rows scan it."""
-    _check_pair(classical, quantum)
+    _require_kind(classical, "classical")
+    _require_kind(quantum, "quantum")
     build_envelope = _envelope_builder(quantum, scenario)
     year_test = _year_test(classical, quantum, scenario)
     last_block = None
@@ -455,7 +448,7 @@ def _year_test(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scena
 
         def decide(envelope: FeasibilityEnvelope) -> tuple[bool, bool]:
             m, gap1 = envelope.max_feasible_n, gap(1.0)
-            if m >= _SNAP_LIMIT or math.isnan(gap1):
+            if m >= _SNAP_LIMIT:
                 return solved(year)(envelope)
             return gap1 <= 0 or catches_up, m >= 1 and (gap1 <= 0 or (catches_up and gap(float(m)) <= 0))
 

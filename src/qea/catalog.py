@@ -41,7 +41,7 @@ _LOG_FLOAT_MAX = 709.782712893384
 
 @dataclass(frozen=True)
 class ComplexityModel:
-    """One cost law c * N^a * eps^(-b) * beta^N.
+    """One cost law c * N^a * eps^(-b) * beta^N, every field finite.
 
     constant          -- dimensionless multiplier c, > 0
     size_exponent     -- a, exponent on the basis-function count N, >= 0
@@ -55,12 +55,12 @@ class ComplexityModel:
     exp_base: float = 1.0
 
     def __post_init__(self):
-        if not self.constant > 0:
-            raise DomainError(f"constant must be > 0, got {self.constant}")
-        if self.size_exponent < 0 or self.inv_error_exponent < 0:
-            raise DomainError("exponents must be >= 0")
-        if self.exp_base < 1:
-            raise DomainError(f"exp_base must be >= 1, got {self.exp_base}")
+        if not 0 < self.constant < math.inf:
+            raise DomainError(f"constant must be finite and > 0, got {self.constant}")
+        if not (0 <= self.size_exponent < math.inf and 0 <= self.inv_error_exponent < math.inf):
+            raise DomainError("exponents must be finite and >= 0")
+        if not 1 <= self.exp_base < math.inf:
+            raise DomainError(f"exp_base must be finite and >= 1, got {self.exp_base}")
 
     def log_value(self, n: float, epsilon: float = 1.0) -> float:
         """Natural log of the law, valid far beyond float range.

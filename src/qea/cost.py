@@ -49,7 +49,7 @@ class RuntimeQuote:
 
 def _require_kind(alg: AlgorithmSpec, kind: str) -> None:
     if alg.kind != kind:
-        raise DomainError(f"{alg.name!r} is {alg.kind}, expected {kind}")
+        raise DomainError(f"{alg.name!r} is not a {kind} method")
 
 
 def classical_runtime(alg: AlgorithmSpec, n: int, year: float, scenario: Scenario) -> RuntimeQuote:
@@ -97,14 +97,8 @@ def log_quantum_seconds(alg: AlgorithmSpec, n: float, year: float, scenario: Sce
     return math.log(1.0 / alg.initial_state_fidelity) + log_t - log_throughput
 
 
-def _log_seconds_kernel(
-    quantum: AlgorithmSpec, year: float, scenario: Scenario, classical: AlgorithmSpec | None = None
-):
-    return _log_seconds_builder(quantum, scenario, classical)(year)
-
-
 def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: AlgorithmSpec | None = None):
-    """year -> _log_seconds_kernel(quantum, year, scenario, classical):
+    """year -> the year's log-runtime gap,
     n -> log_quantum_seconds(quantum, n, year, ...) - log_classical_seconds(classical, n, year, ...),
     or n -> log_quantum_seconds(quantum, n, year, ...) when classical is None.
 
@@ -114,8 +108,11 @@ def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: 
     closures repeat the float operations of ComplexityModel.log_value and
     the two log_*_seconds functions in their order, so each value is
     bit-identical to the unfused one.  Surface-code throughput depends on
-    the T-count, so there it is evaluated per n.
+    the T-count, so there it is evaluated per n.  The kinds are checked
+    here, the classical method's first.
     """
+    if classical is not None:
+        _require_kind(classical, "classical")
     _require_kind(quantum, "quantum")
     q_law, platform = quantum.cost_law, scenario.quantum
     log_reps = math.log(1.0 / quantum.initial_state_fidelity)
@@ -124,7 +121,6 @@ def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: 
     simple = platform.mode == "simple"
     log = math.log
     if classical is not None:
-        _require_kind(classical, "classical")
         c_law = classical.cost_law
         c_const, c_a = math.log(c_law.constant), c_law.size_exponent
         c_eps, c_beta = c_law.inv_error_exponent * math.log(1.0), math.log(c_law.exp_base)
@@ -132,24 +128,10 @@ def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: 
     def at_year(year: float):
         if simple:
             q_throughput = log(platform.logical_tgates_per_dollar_second.value(year))
-        elif classical is not None:
-            # Raise what the quantum side raises before anything the
-            # classical side could, as the unfused difference does.
-            _log_quantum_throughput(platform, year, 0.0)
-
-        if classical is None:
-            if simple:
+            if classical is None:
                 return lambda n: (log_reps + (((q_const + q_a * log(n)) - q_eps) + n * q_beta)) - q_throughput
+            c_throughput = log(classical_throughput(scenario.classical, year))
 
-            def log_quantum(n: float) -> float:
-                log_t = ((q_const + q_a * log(n)) - q_eps) + n * q_beta
-                return (log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)
-
-            return log_quantum
-
-        c_throughput = log(classical_throughput(scenario.classical, year))
-
-        if simple:
             def gap(n: float) -> float:
                 log_n = log(n)
                 return ((log_reps + (((q_const + q_a * log_n) - q_eps) + n * q_beta)) - q_throughput) - (
@@ -158,14 +140,17 @@ def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: 
 
             return gap
 
-        def surface_gap(n: float) -> float:
-            log_n = log(n)
-            log_t = ((q_const + q_a * log_n) - q_eps) + n * q_beta
-            return ((log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)) - (
-                (((c_const + c_a * log_n) - c_eps) + n * c_beta) - c_throughput
-            )
+        def log_quantum(n: float) -> float:
+            log_t = ((q_const + q_a * log(n)) - q_eps) + n * q_beta
+            return (log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)
 
-        return surface_gap
+        if classical is None:
+            return log_quantum
+        # Raise what the quantum side raises before anything the
+        # classical side could, as the unfused difference does.
+        _log_quantum_throughput(platform, year, 0.0)
+        c_throughput = log(classical_throughput(scenario.classical, year))
+        return lambda n: log_quantum(n) - ((((c_const + c_a * log(n)) - c_eps) + n * c_beta) - c_throughput)
 
     return at_year
 

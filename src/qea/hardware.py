@@ -149,6 +149,8 @@ def _code_distance_from_log(log_t_count: float, p_phys: float, params: SurfaceCo
             f"physical error rate {p_phys:g} is not below the code threshold "
             f"{params.threshold_error:g}"
         )
+    if not math.isfinite(log_t_count):
+        raise DomainError(f"T-count must be finite, got ln T = {log_t_count}")
     log_ratio = math.log(p_phys / params.threshold_error)  # < 0
     # Smallest m >= 1 with  log(A) + log_t + m * log_ratio <= log(budget),
     # then d = 2m - 1 (odd by construction).
@@ -219,13 +221,19 @@ def available_logical_qubits(platform: QuantumPlatform, year: float, t_count: fl
     The ratio is the configured trend in simple mode and 2 d^2 in
     surface-code mode, with d matched to this workload's T-count.
     """
+    if platform.mode != "simple" and not t_count > 0:
+        raise DomainError(f"t_count must be > 0, got {t_count}")
+    return _logical_qubits_from_log(platform, year, math.log(t_count) if t_count > 0 else -math.inf)
+
+
+def _logical_qubits_from_log(platform: QuantumPlatform, year: float, log_t_count: float) -> float:
+    """available_logical_qubits for a T-count given by its log, which may
+    lie past float range."""
     physical = platform.physical_qubits.value(year)
     if platform.mode == "simple":
         ratio = platform.physical_to_logical_ratio.value(year)
     else:
-        if not t_count > 0:
-            raise DomainError(f"t_count must be > 0, got {t_count}")
         p_now = platform.physical_error_rate.value(year)
-        d = _code_distance_from_log(math.log(t_count), p_now, platform.sc_params)
+        d = _code_distance_from_log(log_t_count, p_now, platform.sc_params)
         ratio = 2.0 * d * d
     return physical / ratio

@@ -2,9 +2,11 @@
 
 Two shapes of output:
 
-* disruption / robustness tables: one verdict per (classical, quantum)
-  cell, rendered as a year, ">HORIZON" when advantage arrives only
-  after the scan window, or "N/A" when no threshold exists at all.
+* verdict grids (disruption: a column per quantum method; robustness:
+  baseline and variation columns), built by one cell loop and rendered
+  by one path per format: one verdict per (classical, column) cell, as
+  a year, ">HORIZON" when advantage arrives only after the scan window,
+  or "N/A" when no threshold exists at all.
 * curve series: per-year threshold and feasibility-envelope rows for
   one method pair, for external plotting.
 
@@ -87,6 +89,21 @@ def verdict_text(result: DisruptionResult, horizon: int) -> str:
     return str(result.verdict)
 
 
+def _verdict_cells(classical_names: tuple[str, ...], columns: list[tuple]) -> dict:
+    """The year scan of each (classical, column name) cell, row by row, for
+    columns (name, scenario, quantum spec).  Each method is resolved once
+    per distinct column scenario.  Columns differ in algorithm tunings
+    only, never in the hardware, so equal quantum specs share envelopes."""
+    envelopes = {q_spec: {} for _, _, q_spec in columns}
+    c_specs, cells = {}, {}
+    for c in classical_names:
+        for name, s, q_spec in columns:
+            if (id(s), c) not in c_specs:
+                c_specs[(id(s), c)] = s.algorithm(c)
+            cells[(c, name)] = _scan_years(c_specs[(id(s), c)], q_spec, s, envelopes[q_spec])
+    return cells
+
+
 def disruption_table(
     scenario: Scenario, quantum_methods: list[str], classical_methods: list[str]
 ) -> DisruptionTable:
@@ -95,14 +112,8 @@ def disruption_table(
         raise DomainError("method lists must be nonempty")
     q_names = tuple(canonical_name(q) for q in quantum_methods)
     c_names = tuple(canonical_name(c) for c in classical_methods)
-    q_specs = {q: scenario.algorithm(q) for q in q_names}
-    envelopes = {q: {} for q in q_names}
-    cells = {}
-    for c in c_names:
-        c_spec = scenario.algorithm(c)
-        for q in q_names:
-            cells[(c, q)] = _scan_years(c_spec, q_specs[q], scenario, envelopes[q])
-    return DisruptionTable(c_names, q_names, cells, scenario)
+    columns = [(q, scenario, scenario.algorithm(q)) for q in dict.fromkeys(q_names)]
+    return DisruptionTable(c_names, q_names, _verdict_cells(c_names, columns), scenario)
 
 
 def robustness_table(
@@ -117,18 +128,10 @@ def robustness_table(
         raise DomainError("method lists must be nonempty")
     q_name = canonical_name(quantum)
     c_names = tuple(canonical_name(c) for c in classical_methods)
-    columns = (BASELINE_COLUMN,) + tuple(v.name for v in variations)
+    names = (BASELINE_COLUMN,) + tuple(v.name for v in variations)
     scenarios = [scenario] + [apply_variation(scenario, v) for v in variations]
-    q_specs = [s.algorithm(q_name) for s in scenarios]
-    # Variations change algorithm tunings only, never the hardware, so
-    # columns whose quantum spec is equal (baseline and classical-only
-    # variations) share one envelope memo.
-    envelopes = {spec: {} for spec in q_specs}
-    cells = {}
-    for c in c_names:
-        for column, s, q_spec in zip(columns, scenarios, q_specs):
-            cells[(c, column)] = _scan_years(s.algorithm(c), q_spec, s, envelopes[q_spec])
-    return RobustnessTable(q_name, c_names, columns, cells, scenario)
+    columns = [(name, s, s.algorithm(q_name)) for name, s in zip(names, scenarios)]
+    return RobustnessTable(q_name, c_names, names, _verdict_cells(c_names, columns), scenario)
 
 
 def qea_curve_series(
@@ -180,8 +183,6 @@ def _digest_line(scenario: Scenario, eol: str) -> str:
 
 def _csv_number(value: float) -> str:
     # repr round-trips doubles exactly; integers render bare.
-    if isinstance(value, bool):  # guard: bools are ints
-        return "true" if value else "false"
     if float(value).is_integer() and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))
@@ -207,33 +208,26 @@ def _grid(headers: list[str], rows: list[list[str]], scenario: Scenario) -> str:
     return _digest_line(scenario, "\n") + "\n".join(lines) + "\n"
 
 
-def render_csv(table) -> str:
-    """CSV for a DisruptionTable, RobustnessTable, or curve series."""
+def _grid_of(table, output: str) -> tuple[list[str], tuple[str, ...], list[list[str]]]:
+    """A verdict table's CSV key header, column names, and each column's
+    CSV keys (the fields between the classical method and the verdict)."""
     if isinstance(table, DisruptionTable):
-        horizon = table.scenario.horizon
-        rows = [
-            [c, q, verdict_text(table.cells[(c, q)], horizon), table.cells[(c, q)].binding_constraint]
-            for c in table.classical_methods
-            for q in table.quantum_methods
-        ]
-        return _csv_rows(["classical", "quantum", "verdict", "binding_constraint"], rows, table.scenario)
+        return ["classical", "quantum"], table.quantum_methods, [[q] for q in table.quantum_methods]
     if isinstance(table, RobustnessTable):
-        horizon = table.scenario.horizon
-        rows = [
-            [
-                c,
-                table.quantum,
-                column,
-                verdict_text(table.cells[(c, column)], horizon),
-                table.cells[(c, column)].binding_constraint,
-            ]
-            for c in table.classical_methods
-            for column in table.columns
-        ]
-        return _csv_rows(
-            ["classical", "quantum", "variation", "verdict", "binding_constraint"], rows, table.scenario
-        )
-    raise DomainError(f"cannot render {type(table).__name__} as CSV")
+        return ["classical", "quantum", "variation"], table.columns, [[table.quantum, v] for v in table.columns]
+    raise DomainError(f"cannot render {type(table).__name__} as {output}")
+
+
+def render_csv(table) -> str:
+    """CSV for a DisruptionTable or RobustnessTable: one row per cell."""
+    key_header, columns, column_keys = _grid_of(table, "CSV")
+    horizon = table.scenario.horizon
+    rows = [
+        [c, *keys, verdict_text(table.cells[(c, column)], horizon), table.cells[(c, column)].binding_constraint]
+        for c in table.classical_methods
+        for column, keys in zip(columns, column_keys)
+    ]
+    return _csv_rows(key_header + ["verdict", "binding_constraint"], rows, table.scenario)
 
 
 _CURVE_HEADER = ["year", "threshold_n", "qubit_limited_n", "deadline_limited_n", "max_feasible_n", "region_nonempty"]
@@ -258,24 +252,14 @@ def curve_csv(points: list[CurvePoint], scenario: Scenario) -> str:
 
 
 def render_text(table) -> str:
-    """Fixed-width grid for human eyes."""
-    if isinstance(table, DisruptionTable):
-        horizon = table.scenario.horizon
-        headers = ["classical"] + list(table.quantum_methods)
-        rows = [
-            [c] + [verdict_text(table.cells[(c, q)], horizon) for q in table.quantum_methods]
-            for c in table.classical_methods
-        ]
-        return _grid(headers, rows, table.scenario)
-    if isinstance(table, RobustnessTable):
-        horizon = table.scenario.horizon
-        headers = ["classical"] + list(table.columns)
-        rows = [
-            [c] + [verdict_text(table.cells[(c, col)], horizon) for col in table.columns]
-            for c in table.classical_methods
-        ]
-        return _grid(headers, rows, table.scenario)
-    raise DomainError(f"cannot render {type(table).__name__} as text")
+    """Fixed-width grid for human eyes: one row per classical method."""
+    _, columns, _ = _grid_of(table, "text")
+    horizon = table.scenario.horizon
+    rows = [
+        [c] + [verdict_text(table.cells[(c, column)], horizon) for column in columns]
+        for c in table.classical_methods
+    ]
+    return _grid(["classical", *columns], rows, table.scenario)
 
 
 def curve_text(points: list[CurvePoint], scenario: Scenario) -> str:

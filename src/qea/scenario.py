@@ -86,14 +86,14 @@ class AlgorithmTuning:
     qubit_constant: float | None
 
     def __post_init__(self):
-        if not self.constant > 0:
-            raise DomainError("tuning constant must be > 0")
-        if self.exponent < 0:
-            raise DomainError("tuning exponent must be >= 0")
+        if not 0 < self.constant < math.inf:
+            raise DomainError(f"tuning constant must be finite and > 0, got {self.constant}")
+        if not 0 <= self.exponent < math.inf:
+            raise DomainError(f"tuning exponent must be finite and >= 0, got {self.exponent}")
         if not 0 < self.fidelity <= 1:
             raise DomainError("fidelity must be in (0, 1]")
-        if self.qubit_constant is not None and not self.qubit_constant > 0:
-            raise DomainError("qubit_constant must be > 0")
+        if self.qubit_constant is not None and not 0 < self.qubit_constant < math.inf:
+            raise DomainError(f"qubit_constant must be finite and > 0, got {self.qubit_constant}")
 
 
 # The catalog's own tunings, built once: every scenario starts from a
@@ -167,8 +167,8 @@ class Variation:
 
     def __post_init__(self):
         for fname in ("quantum_time", "classical_time", "logical_qubits"):
-            if not getattr(self, fname) > 0:
-                raise DomainError(f"variation multiplier {fname} must be > 0")
+            if not 0 < getattr(self, fname) < math.inf:
+                raise DomainError(f"variation multiplier {fname} must be finite and > 0")
 
 
 def standard_variations() -> list[Variation]:
@@ -311,7 +311,7 @@ _SCHEMA = _Section(
             "algorithms",
             {},
             per_method=_Section(
-                "", {key: (key, _number) for key in ("constant", "exponent", "fidelity", "qubit_constant")}
+                "", {key: (key, _finite) for key in ("constant", "exponent", "fidelity", "qubit_constant")}
             ),
         ),
     },

@@ -78,6 +78,14 @@ class TestEvalComplexity:
             {"size_exponent": -0.1},
             {"inv_error_exponent": -1.0},
             {"exp_base": 0.5},
+            # Every field must also be finite.
+            {"constant": math.inf},
+            {"constant": math.nan},
+            {"size_exponent": math.inf},
+            {"size_exponent": math.nan},
+            {"inv_error_exponent": math.nan},
+            {"exp_base": math.inf},
+            {"exp_base": math.nan},
         ],
     )
     def test_model_validation(self, kwargs):

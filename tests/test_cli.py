@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -149,6 +150,12 @@ class TestCurveAndRobustness:
         assert code == 3
         assert "transmogrify" in err
 
+    def test_vary_product_past_float_range_exit_3(self, capsys):
+        # DMRG's constant times 1e300 is infinite, which no tuning accepts.
+        code, out, err = run(capsys, "robustness", "--classical", "DMRG", "--vary", "classical_time=1e300")
+        assert code == 3
+        assert out == "" and "finite" in err
+
     def test_curve_too_many_points_exit_3(self, capsys):
         code, out, err = run(capsys, "curve", "--classical", "FCI", "--quantum", "qpe-n3", "--step", "1e-7")
         assert code == 3
@@ -258,6 +265,34 @@ class TestScenarioHandling:
         assert code == 0
         rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
         assert rows["CCSD"] == ["N/A", ">2050"]
+
+    def test_surface_code_t_count_past_float_range_exit_0(self, capsys, tmp_path):
+        # The qubit limit used to pass an infinite T-count to the code
+        # distance, which ended in OverflowError.
+        doc = {"quantum": {"mode": "surface-code"}, "overrides": {"qpe-n3": {"exponent": 40}}}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "feasible", "--scenario", str(path), "--quantum", "qpe-n3", "--year", "2060", "--format", "csv",
+        )
+        assert code == 0
+        qubit_n, deadline_n, max_n = (int(v) for v in out.splitlines()[-1].split(",")[1:])
+        assert max_n == min(qubit_n, deadline_n) >= 1
+        # The qubit limit lies where the T-count is past float range.
+        spec = scenario_from_dict(doc).algorithm("qpe-n3")
+        assert spec.cost_law.log_value(qubit_n, 1e-3) > math.log(sys.float_info.max)
+        path.write_text(json.dumps({**doc, "horizon": 2100}), encoding="utf-8")
+        code, out, _ = run(capsys, "table", "--scenario", str(path))
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+        assert rows["FCI"] == [">2100", "2030"]
+
+    def test_non_finite_override_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"overrides": {"CCSD": {"exponent": NaN}}}', encoding="utf-8")
+        code, out, err = run(capsys, "table", "--scenario", str(path), "--format", "csv")
+        assert code == 3
+        assert out == "" and "overrides.CCSD.exponent" in err
 
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "threshold", "--classical", "CCSD")  # missing options

@@ -60,6 +60,13 @@ CASES = {
     "table-csv": ["table", "--format", "csv"],
     "table-text": ["table"],
     "robustness-csv": ["robustness", "--format", "csv"],
+    "robustness-text": ["robustness"],
+    # A custom variation list: one quantum-side and one classical-side
+    # column, against a quantum method other than the default.
+    "robustness-vary-csv": [
+        "robustness", "--vary", "logical=3", "--vary", "classical_time=2", "--quantum", "qpe-n2", "--format", "csv",
+    ],
+    "robustness-vary-text": ["robustness", "--vary", "logical=3", "--vary", "classical_time=2", "--quantum", "qpe-n2"],
     # Catalog-only methods and a_q > a_c pairs (qpe-n5 against DMRG,
     # VMC, DFT, HF, MP2), whose advantage can start at N = 1.
     "table-catalog-csv": [
@@ -94,6 +101,9 @@ GOLDEN = {
     "curve-ccsdt-n2": "b3804773fa2d3746bcf02f987eaf96144bcbfa7699ef4b9772ed7bb7facb5e5e",
     "curve-fci-n3": "0b9b238011384d4a86539a82c6800b347969af6ed974f58ad09d3a00467a480f",
     "robustness-csv": "dc002441c54c4e1c13ddc24d75b0c952fa5827abbbadb073242acf0d0c6a4240",
+    "robustness-text": "641615d0092b89ae599207e5e0445ba9e0aa22ffab6e3378f3e229c712ea9c58",
+    "robustness-vary-csv": "01b1b61244bad7124c0a11bd933dd42c67b6131982e082c37a88dcfbc5982520",
+    "robustness-vary-text": "9a45408b7f3266986ca41c05883b895ad07412877a1d15baee4dc40b13a7f48a",
     "robustness-qpe-n5-csv": "f2f8b3256a30651e7529d2430ad9a1e282779a10a3bd79825ec3da9f95ccd794",
     "table-catalog-csv": "717641ec2508df189a75c2bb7c5c097415ad7c6ba8cbe604fbce81fc1f320e83",
     "table-csv": "97ead809bf097ac2304657e83868d635d3b2e73eb4faad090ee6b63b00a6af78",

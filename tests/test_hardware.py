@@ -16,7 +16,7 @@ from qea import (
     required_code_distance,
     trend_value,
 )
-from qea.hardware import REFERENCE_TCOUNT
+from qea.hardware import REFERENCE_TCOUNT, _logical_qubits_from_log
 
 from helpers import make_scenario
 
@@ -124,6 +124,10 @@ class TestCodeDistance:
         with pytest.raises(DomainError):
             required_code_distance(0.0, 1e10, SurfaceCodeParams())
 
+    def test_t_count_past_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="T-count must be finite"):
+            required_code_distance(1e-3, math.inf, SurfaceCodeParams())
+
 
 class TestQuantumThroughput:
     def test_simple_mode_base(self):
@@ -173,3 +177,19 @@ class TestLogicalQubits:
         flat = make_scenario(physical=(2025, 1e6, 1.0), ratio=(2025, 1e3, 0.95))
         simple_values = [available_logical_qubits(flat.quantum, y, 1e10) for y in range(2025, 2051)]
         assert all(b >= a for a, b in zip(simple_values, simple_values[1:]))
+
+    def test_supply_from_ln_t_count_past_float_range(self):
+        """The qubit limit reads a T-count past float range by its log: the
+        distance keeps growing with ln T, and where the T-count is finite
+        the log form is the same function."""
+        s = make_scenario(mode="surface-code", physical=(2025, 1e12, 1.0))
+        for t_count in (1.0, 1e10, 1e300):
+            assert _logical_qubits_from_log(s.quantum, 2025, math.log(t_count)) == available_logical_qubits(
+                s.quantum, 2025, t_count
+            )
+        edge = _logical_qubits_from_log(s.quantum, 2025, math.log(1e300))
+        past = [_logical_qubits_from_log(s.quantum, 2025, log_t) for log_t in (800.0, 1600.0)]
+        assert edge > past[0] > past[1] > 0
+        # 2 d^2 with d = 2m - 1 and m the smallest step that meets the budget.
+        m = math.ceil((math.log(1e-2) - math.log(0.1) - 1600.0) / math.log(1e-3 / 1e-2))
+        assert past[1] == 1e12 / (2.0 * (2 * m - 1) ** 2)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qea.hardware as hardware
 from qea import AlgorithmSpec, ComplexityModel, default_scenario, qea_threshold
-from qea.cost import _log_seconds_kernel, log_classical_seconds, log_quantum_seconds
+from qea.cost import _log_seconds_builder, log_classical_seconds, log_quantum_seconds
 
 from helpers import make_scenario
 
@@ -53,9 +53,9 @@ def test_gap_is_bit_identical_to_unfused_difference(c_law, q_law, fidelity, log_
     n = float(10**log_n)
     q_seconds = log_quantum_seconds(quantum, n, year, scenario)
     want = q_seconds - log_classical_seconds(classical, n, year, scenario)
-    gap = _log_seconds_kernel(quantum, year, scenario, classical)
+    gap = _log_seconds_builder(quantum, scenario, classical)(year)
     assert gap(n).hex() == want.hex()
-    assert _log_seconds_kernel(quantum, year, scenario)(n).hex() == q_seconds.hex()
+    assert _log_seconds_builder(quantum, scenario)(year)(n).hex() == q_seconds.hex()
 
 
 def test_gap_is_bit_identical_on_seeded_draws():
@@ -86,7 +86,7 @@ def test_gap_is_bit_identical_on_seeded_draws():
             epsilon=10 ** rng.uniform(-6, 0),
         )
         year = rng.uniform(2020, 2080)
-        gap = _log_seconds_kernel(quantum, year, scenario, classical)
+        gap = _log_seconds_builder(quantum, scenario, classical)(year)
         for n in (1.0, float(rng.randint(2, 10**6)), 10 ** rng.uniform(0, 12)):
             want = log_quantum_seconds(quantum, n, year, scenario) - log_classical_seconds(
                 classical, n, year, scenario

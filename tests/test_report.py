@@ -6,6 +6,7 @@ import pytest
 
 from qea import (
     DomainError,
+    Scenario,
     UnknownMethodError,
     Variation,
     advantage_region,
@@ -17,6 +18,7 @@ from qea import (
     render_csv,
     render_text,
     robustness_table,
+    standard_variations,
     verdict_key,
     verdict_text,
 )
@@ -104,6 +106,30 @@ class TestRobustnessTable:
         out = render_csv(robustness_table(s, [Variation(name="id")], "qpe-n3", ["FCI"]))
         header = out.split("\r\n")[1]
         assert header == "classical,quantum,variation,verdict,binding_constraint"
+
+
+def test_tables_resolve_each_method_once_per_column_scenario(monkeypatch):
+    """The disruption table's columns share one scenario, so each method
+    is resolved once; each robustness column has its own scenario, so each
+    method is resolved once per column, and never once per cell more."""
+    calls = []
+    original = Scenario.algorithm
+    monkeypatch.setattr(Scenario, "algorithm", lambda self, name: calls.append(name) or original(self, name))
+    s = default_scenario()
+    disruption_table(s, ["qpe-n3", "qpe-n2"], ["DFT", "HF", "MP2", "CCSD", "CCSDT", "FCI"])
+    assert len(calls) == 2 + 6
+    calls.clear()
+    robustness_table(s, standard_variations(), "qpe-n3", ["HF", "MP2", "CCSD", "CCSDT", "FCI"])
+    assert len(calls) == 4 * (1 + 5)
+    calls.clear()
+    disruption_table(s, ["qpe-n3", "qpe-n3"], ["CCSD", "FCI", "CCSD"])
+    assert sorted(calls) == ["CCSD", "FCI", "qpe-n3"]
+
+
+def test_render_rejects_other_objects():
+    for render, output in ((render_csv, "CSV"), (render_text, "text")):
+        with pytest.raises(DomainError, match=f"cannot render list as {output}"):
+            render([])
 
 
 class TestCurveSeries:

@@ -10,6 +10,7 @@ the work the new path saves.
 import collections
 import math
 import random
+import re
 import types
 
 import pytest
@@ -19,6 +20,7 @@ import qea.advantage as advantage
 import qea.cost as cost
 from qea import (
     QeaError,
+    ScenarioError,
     default_scenario,
     disruption_table,
     feasibility_envelope,
@@ -30,7 +32,7 @@ from qea import (
 )
 from qea.advantage import BEYOND_HORIZON, NEVER, DisruptionResult
 from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS, builtin_catalog
-from qea.cost import _log_seconds_kernel
+from qea.cost import _log_seconds_builder
 
 from helpers import count_envelopes, make_scenario, with_tuning
 
@@ -197,7 +199,7 @@ def test_advantage_from_n_equals_one_when_gap_rises():
     result = _assert_scans_agree(s, "DMRG", "qpe-n5")
     year = result.verdict
     assert year == s.start_year
-    gap = _log_seconds_kernel(qpe, year, s, dmrg)
+    gap = _log_seconds_builder(qpe, s, dmrg)(year)
     m = feasibility_envelope(qpe, year, s).max_feasible_n
     assert gap(1.0) <= 0 < gap(float(m))
 
@@ -254,11 +256,12 @@ def test_trend_leaving_float_range_raises_like_the_solver(doc):
 
 
 @pytest.mark.parametrize("method", ["CCSD", "qpe-n3"])
-def test_nan_gap_asks_the_solver(method):
-    """A NaN exponent override loads and makes gap(1) NaN; the scan then
-    reads the solver's answer rather than comparing NaN with 0."""
-    s = scenario_from_dict({"overrides": {method: {"exponent": float("nan")}}})
-    _assert_scans_agree(s, "CCSD", "qpe-n3")
+def test_non_finite_exponent_is_rejected_at_load(method):
+    """A NaN or infinite exponent override is a load error, so every law
+    the scan reads is finite and gap(1) is never NaN."""
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ScenarioError, match=re.escape(f"overrides.{method}.exponent")):
+            scenario_from_dict({"overrides": {method: {"exponent": value}}})
 
 
 @pytest.mark.parametrize("pair", [("CCSD(T)", "qpe-n3"), ("FCI", "qpe-n2")])

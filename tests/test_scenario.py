@@ -111,6 +111,16 @@ class TestVariations:
     def test_validation(self):
         with pytest.raises(DomainError):
             Variation(name="bad", quantum_time=0.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                Variation(name="bad", classical_time=value)
+
+    @pytest.mark.parametrize("field", ["constant", "exponent", "qubit_constant"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_tuning_rejects_non_finite(self, field, value):
+        tuning = default_scenario().algorithms["qpe-n3"]
+        with pytest.raises(DomainError, match="finite"):
+            dataclasses.replace(tuning, **{field: value})
 
 
 # Invalid scenario documents, each with the file key or dotted path its
@@ -137,6 +147,13 @@ STRICT_REJECTS = [
     ({"horizon": 100000000}, "horizon"),
     ({"start_year": 1000, "horizon": 2050}, "start_year"),
     ({"classical": {"flops_trend": {"base_year": float("nan")}}}, "classical.flops_trend.base_year"),
+]
+# Every override field must be finite: a NaN or infinite tuning would
+# reach the cost laws and the year scan.
+STRICT_REJECTS += [
+    ({"overrides": {"qpe-n3": {key: value}}}, f"overrides.qpe-n3.{key}")
+    for key in ("constant", "exponent", "fidelity", "qubit_constant")
+    for value in (float("nan"), float("inf"), float("-inf"))
 ]
 
 
