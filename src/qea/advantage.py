@@ -175,21 +175,15 @@ def qea_threshold(
         if a_q > a_c and growth_c > growth_q:
             u_lo = max(0.0, math.log((a_q - a_c) / (growth_c - growth_q)))
         u_hi = max(1.0, u_lo + 1.0)
-        while gap(math.exp(u_hi)) > 0:
+        while u_hi <= _LOG_N_MAX and gap(math.exp(u_hi)) > 0:
             u_lo = u_hi
             u_hi *= 2.0
-            if u_hi > _LOG_N_MAX:
-                # A crossing exists structurally but sits beyond any
-                # meaningful size; keep it finite so the verdict reads
-                # beyond-horizon rather than never.
-                return math.exp(_LOG_N_MAX)
-        while u_hi - u_lo > _LOG_TOL:
-            mid = 0.5 * (u_lo + u_hi)
-            if gap(math.exp(mid)) <= 0:
-                u_hi = mid
-            else:
-                u_lo = mid
-        root_u = u_hi
+        if u_hi > _LOG_N_MAX:
+            # A crossing exists structurally but sits beyond any
+            # meaningful size; keep it finite so the verdict reads
+            # beyond-horizon rather than never.
+            return math.exp(_LOG_N_MAX)
+        root_u = _bisect(lambda u: gap(math.exp(u)) <= 0, u_lo, u_hi, _LOG_TOL)[1]
 
     threshold = max(1.0, math.exp(root_u))
     if threshold > _SNAP_LIMIT:
@@ -205,6 +199,18 @@ def qea_threshold(
     if math.ceil(threshold) != k:
         threshold = float(k)
     return threshold
+
+
+def _bisect(predicate, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Halve [a, b] until it is at most tol wide, keeping the predicate
+    false at a and true at b; returns the final (a, b)."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if predicate(mid):
+            b = mid
+        else:
+            a = mid
+    return a, b
 
 
 def _largest_true(predicate) -> int:

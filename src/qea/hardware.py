@@ -59,6 +59,11 @@ SC_CALIBRATION_YEAR = 2025.0
 # ratio) do not flip on the last float ulp.
 _LOG_SLACK = 1e-9
 
+# Largest (d + 1) / 2 the code-distance solve takes on: past 2^52,
+# m * ln(p_phys / p_th) no longer tells m from m - 1, and the search
+# would walk down one integer at a time.
+_MAX_ROUNDS = 2.0**52
+
 
 @dataclass(frozen=True)
 class ExponentialTrend:
@@ -71,10 +76,10 @@ class ExponentialTrend:
     def __post_init__(self):
         if not math.isfinite(self.base_year):
             raise DomainError(f"base_year must be finite, got {self.base_year}")
-        if not self.base_value > 0:
-            raise DomainError(f"base_value must be > 0, got {self.base_value}")
-        if not self.annual_factor > 0:
-            raise DomainError(f"annual_factor must be > 0, got {self.annual_factor}")
+        if not 0 < self.base_value < math.inf:
+            raise DomainError(f"base_value must be finite and > 0, got {self.base_value}")
+        if not 0 < self.annual_factor < math.inf:
+            raise DomainError(f"annual_factor must be finite and > 0, got {self.annual_factor}")
 
     def value(self, year: float) -> float:
         """The trend at `year`; DomainError where it passes float range,
@@ -121,8 +126,8 @@ class SurfaceCodeParams:
         if not 0 < self.failure_budget < 1:
             raise DomainError("failure_budget must be in (0, 1)")
         for field in ("prefactor_a", "cycle_time_s", "cycles_per_t_gate"):
-            if not getattr(self, field) > 0:
-                raise DomainError(f"{field} must be > 0")
+            if not 0 < getattr(self, field) < math.inf:
+                raise DomainError(f"{field} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,10 @@ def _code_distance_from_log(log_t_count: float, p_phys: float, params: SurfaceCo
     def ok(m: int) -> bool:
         return m * log_ratio <= rhs + _LOG_SLACK
 
-    m = max(1, math.ceil(rhs / log_ratio - _LOG_SLACK))
+    rounds = rhs / log_ratio
+    if not rounds <= _MAX_ROUNDS:
+        raise DomainError(f"a T-count of e^{log_t_count:g} needs a code distance past {2 * _MAX_ROUNDS:g}")
+    m = max(1, math.ceil(rounds - _LOG_SLACK))
     while not ok(m):
         m += 1
     while m > 1 and ok(m - 1):

@@ -21,6 +21,7 @@ parameter paths all read it.  README shows an example file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -271,8 +272,7 @@ class _Section:
     per_method: _Section | None = None
 
 
-_TREND_FIELDS = {key: (key, _number) for key in ("base_year", "base_value", "annual_factor")}
-_TREND_FIELDS["base_year"] = ("base_year", _finite)
+_TREND_FIELDS = {key: (key, _finite) for key in ("base_year", "base_value", "annual_factor")}
 
 
 _SCHEMA = _Section(
@@ -298,11 +298,11 @@ _SCHEMA = _Section(
                 "surface_code": _Section(
                     "sc_params",
                     {
-                        "A": ("prefactor_a", _number),
-                        "p_th": ("threshold_error", _number),
-                        "cycle_time_s": ("cycle_time_s", _number),
-                        "cycles_per_t": ("cycles_per_t_gate", _number),
-                        "failure_budget": ("failure_budget", _number),
+                        "A": ("prefactor_a", _finite),
+                        "p_th": ("threshold_error", _finite),
+                        "cycle_time_s": ("cycle_time_s", _finite),
+                        "cycles_per_t": ("cycles_per_t_gate", _finite),
+                        "failure_budget": ("failure_budget", _finite),
                     },
                 ),
             },
@@ -455,10 +455,7 @@ def set_param(scenario: Scenario, path: str, value: float) -> Scenario:
 
 CALIBRATION_BOUNDS = (1.0, 4.0)
 CALIBRATION_TOL = 1e-4
-
-
-def _anchor_label(anchor: tuple[str, str, int]) -> str:
-    return f"{anchor[0]}:{anchor[1]}:{anchor[2]}"
+CALIBRATION_PASSES = 16
 
 
 def _verdict_key(scenario: Scenario, specs: tuple[AlgorithmSpec, AlgorithmSpec]) -> float:
@@ -473,53 +470,32 @@ def _coordinate_step(scenario, path, anchor, specs, prefer):
     """One coordinate-wise bisection: pick a factor for `path` that makes
     the anchor's verdict equal its target year, or None if unreachable.
 
-    The verdict is a non-increasing step function of the factor, so the
+    The verdict is a monotone step function of the factor.  The key
+    mirrors it where it rises (verdict at lo < verdict at hi), so the
     settings hitting the target form an interval [enter, exit).  `prefer`
-    selects the conservative edge ("low"), the aggressive edge ("high"),
-    or the midpoint ("mid").  `specs` are the anchor's resolved methods;
+    selects the smallest factor ("low"), the largest ("high"), or the
+    midpoint ("mid"); "low" searches no exit edge, and no factor's
+    verdict is scanned twice.  `specs` are the anchor's resolved methods;
     factors are trend parameters, so they do not change the specs.
     """
+    from .advantage import _bisect
+
     lo, hi = CALIBRATION_BOUNDS
-    target = float(anchor[2])
-
-    def key(g: float) -> float:
-        return _verdict_key(set_param(scenario, path, g), specs)
-
-    k_lo, k_hi = key(lo), key(hi)
-    if k_lo < target or k_hi > target:
+    verdict = functools.cache(lambda g: _verdict_key(set_param(scenario, path, g), specs))
+    sign = -1.0 if verdict(lo) < verdict(hi) else 1.0
+    target = sign * anchor[2]
+    key = lambda g: sign * verdict(g)  # noqa: E731
+    if key(lo) < target or key(hi) > target:
         return None  # target year outside what this coordinate can reach
 
-    # enter: smallest factor with verdict <= target; k_enter its verdict.
-    if k_lo <= target:
-        enter, k_enter = lo, k_lo
-    else:
-        a, b, k_enter = lo, hi, k_hi
-        while b - a > CALIBRATION_TOL:
-            mid = 0.5 * (a + b)
-            k_mid = key(mid)
-            if k_mid <= target:
-                b, k_enter = mid, k_mid
-            else:
-                a = mid
-        enter = b
-    if k_enter != target:
+    # enter: smallest factor with key <= target.
+    enter = lo if key(lo) <= target else _bisect(lambda g: key(g) <= target, lo, hi, CALIBRATION_TOL)[1]
+    if key(enter) != target:
         return None  # the step function skipped the target year
-
-    # exit edge: largest probed factor still on the target year.
-    if k_hi == target:
-        high = hi
-    else:
-        a, b = enter, hi
-        while b - a > CALIBRATION_TOL:
-            mid = 0.5 * (a + b)
-            if key(mid) <= target - 1:
-                b = mid
-            else:
-                a = mid
-        high = a
-
     if prefer == "low":
         return enter
+    # exit edge: largest probed factor still on the target year.
+    high = hi if key(hi) == target else _bisect(lambda g: key(g) <= target - 1, enter, hi, CALIBRATION_TOL)[0]
     if prefer == "high":
         return high
     mid = 0.5 * (enter + high)
@@ -531,16 +507,17 @@ def calibrate(
     free_params: list[str],
     anchors: list[tuple[str, str, int]],
     prefer: list[str] | None = None,
-    max_passes: int = 16,
 ) -> Scenario:
     """Fix trend annual factors so disruption years hit the anchors.
 
     free_params and anchors pair up by position; each parameter is
     adjusted by bisection over [1.0, 4.0] (tolerance 1e-4) to make its
-    anchor's first_advantage_year equal the target, iterating passes
-    until every anchor holds simultaneously.  Deterministic: fixed
-    parameter order, pure float arithmetic.  Raises CalibrationError
-    naming the first anchor no in-bounds setting can reach.
+    anchor's first_advantage_year equal the target, iterating up to
+    CALIBRATION_PASSES passes until every anchor holds simultaneously.
+    prefer picks, per parameter, the smallest ("low"), largest ("high")
+    or middle ("mid", the default) factor that hits its anchor.
+    Deterministic: fixed parameter order, pure float arithmetic.  Raises
+    CalibrationError naming the first anchor the result still misses.
     """
     if len(free_params) != len(anchors):
         raise DomainError("free_params and anchors must pair up one-to-one")
@@ -553,14 +530,18 @@ def calibrate(
 
     specs = [(base.algorithm(a[0]), base.algorithm(a[1])) for a in anchors]
 
-    def all_hit(s: Scenario) -> bool:
-        return all(_verdict_key(s, sp) == float(a[2]) for a, sp in zip(anchors, specs))
+    def first_miss(s: Scenario) -> str | None:
+        """The first anchor `s` misses, as CLASSICAL:QUANTUM:YEAR."""
+        for (classical, quantum, year), anchor_specs in zip(anchors, specs):
+            if _verdict_key(s, anchor_specs) != float(year):
+                return f"{classical}:{quantum}:{year}"
+        return None
 
     current = base
-    if all_hit(current):
-        return current
-
-    for _ in range(max_passes):
+    miss = first_miss(current)
+    for _ in range(CALIBRATION_PASSES):
+        if miss is None:
+            break
         moved = False
         for path, anchor, anchor_specs, pref in zip(free_params, anchors, specs, prefer):
             value = _coordinate_step(current, path, anchor, anchor_specs, pref)
@@ -569,12 +550,9 @@ def calibrate(
             if abs(value - get_param(current, path)) > CALIBRATION_TOL / 4:
                 moved = True
             current = set_param(current, path, value)
-        if all_hit(current):
-            return current
+        miss = first_miss(current)
         if not moved:
             break
-
-    for anchor, anchor_specs in zip(anchors, specs):
-        if _verdict_key(current, anchor_specs) != float(anchor[2]):
-            raise CalibrationError(_anchor_label(anchor))
-    raise CalibrationError(_anchor_label(anchors[-1]))  # pragma: no cover
+    if miss is not None:
+        raise CalibrationError(miss)
+    return current

@@ -109,6 +109,14 @@ class TestThreshold:
         assert result.verdict == BEYOND_HORIZON
 
 
+    @pytest.mark.parametrize("mode", ["simple", "surface-code"])
+    def test_bracket_past_the_cap_returns_the_cap(self, mode):
+        # a_q - a_c ~ 1.5e308 puts the gap's peak, where the bracket
+        # starts, near ln N = 709: evaluating it overflowed math.exp.
+        s = with_tuning(make_scenario(mode=mode), "qpe-n2", exponent=1.5e308)
+        assert qea_threshold(s.algorithm("FCI"), s.algorithm("qpe-n2"), 2025, s) == math.exp(256.0)
+
+
 @pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
 def test_non_finite_year_rejected(year):
     s = default_scenario()

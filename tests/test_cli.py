@@ -210,7 +210,15 @@ class TestScenarioHandling:
         assert code == 3
         assert "bogus_key" in err
 
-    @pytest.mark.parametrize("doc", ['{"start_year": 2025.5}', '{"deadline_s": Infinity}'])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"start_year": 2025.5}',
+            '{"deadline_s": Infinity}',
+            # Used to end in OverflowError (exit 1).
+            '{"quantum": {"mode": "surface-code", "surface_code": {"A": Infinity}}}',
+        ],
+    )
     def test_bad_number_in_scenario_exit_3(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(doc, encoding="utf-8")
@@ -350,6 +358,19 @@ class TestCalibrateCommand:
             default_scenario().quantum.physical_qubits.annual_factor, abs=2e-4
         )
         assert "# scenario sha256=" in err
+
+    def test_classical_growth_factor_calibrates(self, capsys):
+        # The verdict rises with this factor; calibration used to report
+        # the anchor infeasible (exit 4).
+        code, out, _ = run(
+            capsys, "calibrate",
+            "--anchor", "CCSDT:qpe-n3:2038",
+            "--free", "classical.flops_trend.annual_factor",
+            "--prefer", "low",
+        )
+        assert code == 0
+        calibrated = scenario_from_dict(json.loads(out))
+        assert calibrated.classical.flops_per_dollar_second.annual_factor == 1.930999755859375
 
     def test_infeasible_exit_4(self, capsys):
         code, _, err = run(

@@ -16,7 +16,7 @@ from qea import (
     required_code_distance,
     trend_value,
 )
-from qea.hardware import REFERENCE_TCOUNT, _logical_qubits_from_log
+from qea.hardware import REFERENCE_TCOUNT, _code_distance_from_log, _logical_qubits_from_log
 
 from helpers import make_scenario
 
@@ -73,6 +73,15 @@ class TestTrend:
         with pytest.raises(DomainError):
             ExponentialTrend(2025, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_or_factor_is_a_domain_error(self, value):
+        # An infinite factor used to load and fail only at first use,
+        # as "passes float range".
+        with pytest.raises(DomainError, match="base_value must be finite"):
+            ExponentialTrend(2025, value, 1.4)
+        with pytest.raises(DomainError, match="annual_factor must be finite"):
+            ExponentialTrend(2025, 1e18, value)
+
 
 class TestClassicalThroughput:
     def test_default_2025(self):
@@ -127,6 +136,25 @@ class TestCodeDistance:
     def test_t_count_past_float_range_is_a_domain_error(self):
         with pytest.raises(DomainError, match="T-count must be finite"):
             required_code_distance(1e-3, math.inf, SurfaceCodeParams())
+
+    def test_distance_past_float_resolution_is_a_domain_error(self):
+        # Past 2^52 rounds, m and m - 1 give the same float and the
+        # search walked down one integer at a time: ln T = 1e30 never
+        # returned.
+        params = SurfaceCodeParams()
+        with pytest.raises(DomainError, match="code distance past"):
+            _code_distance_from_log(1e30, 1e-3, params)
+        # Just below the bound the distance is still solved.
+        log_ratio = math.log(1e-3 / params.threshold_error)
+        rhs_free = math.log(params.failure_budget) - math.log(params.prefactor_a)
+        d = _code_distance_from_log(rhs_free - 2.0**51 * log_ratio, 1e-3, params)
+        assert d == 2 * 2**51 - 1
+
+    @pytest.mark.parametrize("field", ["prefactor_a", "cycle_time_s", "cycles_per_t_gate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_are_a_domain_error(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            SurfaceCodeParams(**{field: value})
 
 
 class TestQuantumThroughput:

@@ -156,6 +156,20 @@ STRICT_REJECTS += [
     for value in (float("nan"), float("inf"), float("-inf"))
 ]
 
+# Every surface-code field and every trend value and factor must be
+# finite: an infinite prefactor ended the table in OverflowError, and an
+# infinite cycle time printed ">2050" in every cell.
+STRICT_REJECTS += [
+    ({"quantum": {"surface_code": {key: value}}}, f"quantum.surface_code.{key}")
+    for key in ("A", "p_th", "cycle_time_s", "cycles_per_t", "failure_budget")
+    for value in (float("nan"), float("inf"))
+]
+STRICT_REJECTS += [
+    ({"classical": {"flops_trend": {key: value}}}, f"classical.flops_trend.{key}")
+    for key in ("base_value", "annual_factor")
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
+
 
 class TestFileFormat:
     def test_default_round_trip_bit_equal(self):
@@ -332,7 +346,7 @@ class TestCalibrate:
         original_key, original_step = scenario_module._verdict_key, scenario_module._coordinate_step
 
         def recording_key(scenario, specs):
-            if in_step:  # all_hit also asks, outside any step
+            if in_step:  # first_miss also asks, outside any step
                 probes[-1].append((scenario.quantum, specs[0].name))
             return original_key(scenario, specs)
 
@@ -350,3 +364,48 @@ class TestCalibrate:
         assert len(probes) >= 2
         for step in probes:
             assert len(step) == len(set(step))
+
+    def test_low_step_stops_at_its_enter_edge(self, monkeypatch):
+        # A "low" step returns the enter edge, so it probes the two
+        # bounds and the enter bisection's midpoints, and no exit edge.
+        probes = []
+        original_key = scenario_module._verdict_key
+
+        def recording_key(scenario, specs):
+            probes.append(scenario)
+            return original_key(scenario, specs)
+
+        monkeypatch.setattr(scenario_module, "_verdict_key", recording_key)
+        s, (c, q, _) = default_scenario(), self.ANCHORS[1]
+        specs = (s.algorithm(c), s.algorithm(q))
+        enter = scenario_module._coordinate_step(s, self.FREE[1], self.ANCHORS[1], specs, "low")
+        lo, hi = scenario_module.CALIBRATION_BOUNDS
+        assert enter == get_param(s, self.FREE[1])  # the shipped factor is this edge
+        assert len(probes) <= 2 + math.ceil(math.log2((hi - lo) / scenario_module.CALIBRATION_TOL))
+
+    @pytest.mark.parametrize(
+        "path, anchor, low",
+        [
+            ("classical.flops_trend.annual_factor", ("CCSD(T)", "qpe-n3", 2038), 1.930999755859375),
+            ("quantum.ratio_trend.annual_factor", ("CCSD(T)", "qpe-n3", 2039), 1.159942626953125),
+        ],
+    )
+    def test_factor_that_delays_advantage_calibrates(self, path, anchor, low):
+        # Faster classical hardware and a higher physical-per-logical
+        # ratio delay advantage: the verdict rises with these factors.
+        # "low" and "high" land on the edges of the factors hitting the
+        # anchor: a step of the tolerance outward misses it.
+        c, q, year = anchor
+
+        def verdict(scenario, factor):
+            s = set_param(scenario, path, factor)
+            return first_advantage_year(s.algorithm(c), s.algorithm(q), s).verdict
+
+        tol = scenario_module.CALIBRATION_TOL
+        for prefer, outward in (("low", -tol), ("high", tol)):
+            cal = calibrate(default_scenario(), [path], [anchor], prefer=[prefer])
+            factor = get_param(cal, path)
+            assert verdict(cal, factor) == year
+            assert verdict(cal, factor + outward) != year
+            if prefer == "low":
+                assert factor == low
