@@ -10,31 +10,28 @@ answers three questions:
 3. In which year does the advantage region (threshold <= feasible size)
    first become nonempty?
 
-All comparisons run on log-runtimes so exponential classical laws never
-overflow.  Thresholds solve in closed form when both laws are
-polynomial on simple-mode hardware, and by bisection in log N
-otherwise; below _SNAP_LIMIT the answer is then snapped so that its
-ceiling is exactly the smallest advantageous integer.  Feasible sizes
-work the same way in simple mode: both limits are monomials in N, so
-each is solved in closed form and snapped against its own fits
-predicate; in surface-code mode they are searched.
+All comparisons run on log-runtimes so exponential laws never overflow.
+A year's quantum hardware (QuantumPlatform.at) runs each workload at a
+level set by its T-count: its code distance in surface-code mode, one
+fixed level in simple mode.  ln T grows with N, so the sizes split into
+pieces, maximal runs at one level with exact integer ends; simple mode is
+the one-piece case.  On a piece the hardware is constant, so each
+feasible-size limit is a monomial in N, solved in closed form and snapped
+against its fits predicate, and the gap, K + (a_q - a_c) u - e^u
+ln(beta_c / beta_q) in u = ln N, is concave wherever a crossing can
+exist, so it is smallest at an end.  A level step lifts the gap.
 
-The year scan needs no threshold in simple mode with a polynomial
-quantum law: the gap, K + (a_q - a_c) u - e^u ln beta_c in u = ln N, is
-concave, so it is smallest on [1, M] at an end, and once gap(1) > 0 the
-advantageous sizes are [N0, inf).  A year with feasible size M is
-advantageous iff M >= 1 and min(gap(1), gap(M)) <= 0, as ceil(threshold)
-<= M is for the snapped threshold; the threshold is absent iff gap(1) > 0
-and the quantum law grows at least as fast.  Past _SNAP_LIMIT no snap
-backs that, so M >= _SNAP_LIMIT still asks qea_threshold.
-
-Every gap comes from one factory, cost._log_seconds_builder, and every
-envelope from builders like it: year-free terms once per scan, trends
-once a year, values bit-identical to the unfused functions.  In
-surface-code mode the code distance, and so the quantum throughput,
-moves with N, so the scan solves every year; the bisection assumes a
-single sign change of the gap, so where a distance step makes the gap
-non-monotone it can return a later crossing than the first.
+Hence a size limit lies in the first piece whose end does not fit, and a
+year with feasible size M is advantageous iff some piece, clipped to
+[1, M], has gap <= 0 at an integer end.  The threshold is the first
+crossing, solved at the level of N = 1 and then at the level each root
+lands on: in closed form for polynomial laws, by bisection in ln N
+otherwise, snapped below _SNAP_LIMIT so its ceiling is exactly the
+smallest advantageous integer.  It is absent iff gap(1) > 0 and the
+quantum law grows at least as fast.  The scan solves it where M >=
+_SNAP_LIMIT, past which no snap backs the endpoint test, and for an
+exponential quantum law on surface-code hardware, whose pieces are too
+many to walk and whose limits are searched size by size from N = 1.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 from .catalog import AlgorithmSpec
 from .cost import _log_seconds_builder, _require_kind
 from .errors import DomainError
-from .hardware import _logical_qubits_from_log, available_logical_qubits
+from .hardware import classical_throughput
 from .scenario import Scenario
 
 __all__ = [
@@ -78,14 +75,12 @@ _LOG_TOL = 1e-12
 # Cap on a threshold's ln N, in the closed form and the bracket search
 # (N ~ 1.5e111, far past SIZE_CAP).
 _LOG_N_MAX = 256.0
+_N_MAX = math.exp(_LOG_N_MAX)
 
 # Integer snapping is only meaningful (and affordable) while one unit of
 # N still moves the log-runtime gap by more than float resolution; the
 # year scan's endpoint test rests on the snap, so it stops here too.
 _SNAP_LIMIT = 1e9
-
-# ln N beyond which a size estimate is past SIZE_CAP (e^40 ~ 2.4e17).
-_LOG_SIZE_CEILING = 40.0
 
 
 @dataclass(frozen=True)
@@ -151,23 +146,58 @@ def qea_threshold(
     """Smallest real N >= 1 with quantum runtime <= classical runtime,
     or None when no such size exists (the quantum law grows at least as
     fast and is costlier per-operation already at N = 1)."""
-    gap_at = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
+    log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
     _check_year(year)
-    gap = gap_at(year)
-    gap1 = gap(1.0)
-    if gap1 <= 0:
-        return 1.0
+    hardware = scenario.quantum.at(year)
+    hardware.log_rate(hardware.level(0.0))  # the quantum trends first, as the unfused difference reads them
+    c_rate = math.log(classical_throughput(scenario.classical, year))
 
+    def per_n(n: float) -> float:
+        return gap(n, hardware.log_rate(hardware.level(log_t(n))), c_rate)
+
+    if per_n(1.0) <= 0:
+        return 1.0
     if not _catches_up(classical, quantum):
         return None
+    # Solve at the level of N = 1, then at the level the root runs at, or
+    # its ceiling if a level step lifts the gap above 0 there, until
+    # neither moves: every size below the root is then not advantageous.
+    level = hardware.level(log_t(1.0))
+    while True:
+        q_rate = hardware.log_rate(level)
+        threshold = _root(lambda n: gap(n, q_rate, c_rate), classical, quantum)
+        if threshold == _N_MAX:
+            return threshold
+        landed, k = hardware.level(log_t(threshold)), max(1, math.ceil(threshold - 1e-9))
+        if landed <= level and threshold <= _SNAP_LIMIT and per_n(float(k)) > 0:
+            landed = hardware.level(log_t(float(k)))
+        if landed <= level:
+            break
+        level = landed
+    if threshold <= _SNAP_LIMIT:
+        # Snap so ceil(threshold) is exactly the smallest advantageous
+        # integer, immune to the last float ulp of the root.
+        while per_n(float(k)) > 0:
+            k += 1
+        while k > 1 and per_n(float(k - 1)) <= 0:
+            k -= 1
+        if math.ceil(threshold) != k:
+            threshold = float(k)
+    return threshold
+
+
+def _root(gap, classical: AlgorithmSpec, quantum: AlgorithmSpec) -> float:
+    """Where a gap concave in ln N, positive at N = 1, crosses zero past
+    its peak.  A crossing past _N_MAX exists structurally but sits beyond
+    any meaningful size; it reads _N_MAX, finite, so a verdict reads
+    beyond-horizon rather than never."""
     growth_q, growth_c = math.log(quantum.cost_law.exp_base), math.log(classical.cost_law.exp_base)
     a_q, a_c = quantum.cost_law.size_exponent, classical.cost_law.size_exponent
-    simple_poly = scenario.quantum.mode == "simple" and growth_q == growth_c == 0.0
-    if simple_poly:
+    if growth_q == growth_c == 0.0:
         # gap(N) = gap(1) + (a_q - a_c) ln N, so the root is direct.
         # Capped like the bracket search: a near-tie of the exponents
         # puts the root past float range.
-        root_u = min(gap1 / (a_c - a_q), _LOG_N_MAX)
+        root_u = min(gap(1.0) / (a_c - a_q), _LOG_N_MAX)
     else:
         # The gap can rise before it falls (a_q > a_c under an
         # exponential classical law); bracket from beyond the peak.
@@ -179,26 +209,9 @@ def qea_threshold(
             u_lo = u_hi
             u_hi *= 2.0
         if u_hi > _LOG_N_MAX:
-            # A crossing exists structurally but sits beyond any
-            # meaningful size; keep it finite so the verdict reads
-            # beyond-horizon rather than never.
-            return math.exp(_LOG_N_MAX)
+            return _N_MAX
         root_u = _bisect(lambda u: gap(math.exp(u)) <= 0, u_lo, u_hi, _LOG_TOL)[1]
-
-    threshold = max(1.0, math.exp(root_u))
-    if threshold > _SNAP_LIMIT:
-        return threshold
-
-    # Snap so ceil(threshold) is exactly the smallest advantageous
-    # integer, immune to the last float ulp of the root.
-    k = max(1, math.ceil(threshold - 1e-9))
-    while gap(float(k)) > 0:
-        k += 1
-    while k > 1 and gap(float(k - 1)) <= 0:
-        k -= 1
-    if math.ceil(threshold) != k:
-        threshold = float(k)
-    return threshold
+    return max(1.0, math.exp(root_u))
 
 
 def _bisect(predicate, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -211,21 +224,6 @@ def _bisect(predicate, a: float, b: float, tol: float) -> tuple[float, float]:
         else:
             a = mid
     return a, b
-
-
-def _largest_true(predicate) -> int:
-    """Largest integer N in [1, SIZE_CAP] satisfying a monotone predicate,
-    0 if even N = 1 fails."""
-    if not predicate(1):
-        return 0
-    lo, hi = 1, 2
-    while hi <= SIZE_CAP and predicate(hi):
-        lo, hi = hi, hi * 2
-    if hi > SIZE_CAP:
-        if predicate(SIZE_CAP):
-            return SIZE_CAP
-        hi = SIZE_CAP
-    return _bisect_largest(predicate, lo, hi)
 
 
 def _bisect_largest(predicate, lo: int, hi: int) -> int:
@@ -241,8 +239,9 @@ def _bisect_largest(predicate, lo: int, hi: int) -> int:
 
 
 def _snap_largest(predicate, estimate: float) -> int:
-    """_largest_true(predicate), searched outward from a real-valued
-    estimate of the answer.
+    """Largest integer N in [1, SIZE_CAP] satisfying a monotone predicate,
+    0 if even N = 1 fails, searched outward from a real-valued estimate
+    of the answer.
 
     Steps of 1, 2, 4, ... away from floor(estimate) bracket the answer,
     then bisection pins it, so an estimate k units off costs about
@@ -273,64 +272,75 @@ def _monomial_size(log_room: float, exponent: float) -> float:
     c N^a <= budget binds, given log_room = ln(budget / c)."""
     if exponent == 0:
         return math.inf if log_room >= 0 else 0.0
-    return math.exp(min(log_room / exponent, _LOG_SIZE_CEILING))
+    return math.exp(min(log_room / exponent, _LOG_N_MAX))
 
 
-def _solvable_in_closed_form(law, scenario: Scenario) -> bool:
-    # Simple-mode hardware does not depend on the workload, so a
-    # polynomial law leaves each limit a plain monomial in N, and its
-    # gap to any classical law concave in ln N.
-    return scenario.quantum.mode == "simple" and law.exp_base == 1
+def _pieces(hardware, log_t, law, cap: int):
+    """The pieces of [1, cap] for a quantum cost law on one year's
+    hardware, in order: (lo, hi, level) for each maximal run of integer
+    sizes at one level.  Each hi is exact under the per-N level, snapped
+    from the polynomial law's closed-form estimate.  None for an
+    exponential law on workload-dependent hardware, too many to walk."""
+    if hardware.fixed_level is not None:
+        return ((1, cap, hardware.fixed_level),) if cap >= 1 else ()
+    if law.exp_base != 1:
+        return None
+    return _walk(hardware, log_t, law.size_exponent, cap)
 
 
-def _qubit_limit(quantum: AlgorithmSpec, scenario: Scenario):
-    """year -> qubit_limited_size(quantum, year, scenario)."""
-    law, platform, epsilon = quantum.qubit_law, scenario.quantum, scenario.epsilon
-    closed, log_constant = _solvable_in_closed_form(law, scenario), math.log(law.constant)
-
-    def limit(year: float) -> int:
-        if platform.mode == "simple":
-            # Simple mode ignores the T-count; the supply is one number a year.
-            supply = available_logical_qubits(platform, year, 1.0)
-            fits = lambda n: law.value(n, 1.0) <= supply  # noqa: E731
-        else:
-            def fits(n: int) -> bool:
-                need, t_count = law.value(n, 1.0), quantum.cost_law.value(n, epsilon)
-                if t_count == math.inf:  # past float range: the supply from ln T instead
-                    return need <= _logical_qubits_from_log(platform, year, quantum.cost_law.log_value(n, epsilon))
-                return need <= available_logical_qubits(platform, year, t_count)
-        if not closed:
-            return _largest_true(fits)
-        log_room = (math.log(supply) if supply > 0 else -math.inf) - log_constant
-        return _snap_largest(fits, _monomial_size(log_room, law.size_exponent))
-
-    return limit
+def _walk(hardware, log_t, exponent: float, cap: int):
+    lo, log_t1 = 1, log_t(1.0)
+    while lo <= cap:
+        level = hardware.level(log_t(float(lo)))
+        estimate = _monomial_size(max(hardware.top(level) - log_t1, 0.0), exponent)
+        hi = min(cap, _snap_largest(lambda n: hardware.level(log_t(float(n))) <= level, estimate))
+        yield lo, hi, level
+        lo = hi + 1
 
 
-def _deadline_limit(quantum: AlgorithmSpec, deadline_s: float, scenario: Scenario):
-    """year -> deadline_limited_size(quantum, year, deadline_s, scenario)."""
-    log_deadline = math.log(deadline_s)
-    log_seconds_at = _log_seconds_builder(quantum, scenario)
-    closed, exponent = _solvable_in_closed_form(quantum.cost_law, scenario), quantum.cost_law.size_exponent
+def _limits(quantum: AlgorithmSpec, scenario: Scenario, deadline_s: float):
+    """(qubit limit, deadline limit): a year's hardware -> the largest N in
+    [1, SIZE_CAP] whose logical qubits fit the supply, or whose runtime
+    fits the deadline; 0 if none does."""
+    law, qubit_law = quantum.cost_law, quantum.qubit_law
+    (log_t, log_seconds), log_deadline = _log_seconds_builder(quantum, scenario), math.log(deadline_s)
+    log_qubit_constant = math.log(qubit_law.constant)
 
-    def limit(year: float) -> int:
-        log_seconds = log_seconds_at(year)
-        fits = lambda n: log_seconds(float(n)) <= log_deadline  # noqa: E731
-        if not closed:
-            return _largest_true(fits)
-        # ln seconds(N) = ln seconds(1) + a ln N.
-        return _snap_largest(fits, _monomial_size(log_deadline - log_seconds(1.0), exponent))
+    def qubits_at(hardware, level):
+        supply, estimate = hardware.supply(level), 1.0
+        if qubit_law.exp_base == 1:
+            log_room = (math.log(supply) if supply > 0 else -math.inf) - log_qubit_constant
+            estimate = _monomial_size(log_room, qubit_law.size_exponent)
+        return (lambda n: qubit_law.value(n, 1.0) <= supply), estimate
 
-    return limit
+    def deadline_at(hardware, level):
+        q_rate = hardware.log_rate(level)
+        # ln seconds(N) = ln seconds(1) + a ln N at one level.
+        estimate = _monomial_size(log_deadline - log_seconds(1.0, q_rate), law.size_exponent)
+        return (lambda n: log_seconds(float(n), q_rate) <= log_deadline), estimate
+
+    def largest(limit_at):
+        def limit(hardware) -> int:
+            pieces = _pieces(hardware, log_t, law, SIZE_CAP)
+            if pieces is None:  # each N at its own level, searched from 1
+                return _snap_largest(lambda n: limit_at(hardware, hardware.level(log_t(float(n))))[0](n), 1.0)
+            for lo, hi, level in pieces:
+                fits, estimate = limit_at(hardware, level)
+                if hi == SIZE_CAP or not fits(hi):
+                    return max(lo - 1, _snap_largest(fits, estimate))
+
+        return limit
+
+    return largest(qubits_at), largest(deadline_at)
 
 
 def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
-    """year -> feasibility_envelope(quantum, year, scenario)."""
-    qubit_limit = _qubit_limit(quantum, scenario)
-    deadline_limit = _deadline_limit(quantum, scenario.deadline_s, scenario)
+    """(year, that year's QuantumPlatform.at view) ->
+    feasibility_envelope(quantum, year, scenario)."""
+    qubit_limit, deadline_limit = _limits(quantum, scenario, scenario.deadline_s)
 
-    def envelope(year: float) -> FeasibilityEnvelope:
-        qubit_n, deadline_n = qubit_limit(year), deadline_limit(year)
+    def envelope(year: float, hardware) -> FeasibilityEnvelope:
+        qubit_n, deadline_n = qubit_limit(hardware), deadline_limit(hardware)
         return FeasibilityEnvelope(year, qubit_n, deadline_n, min(qubit_n, deadline_n))
 
     return envelope
@@ -343,7 +353,7 @@ def deadline_limited_size(quantum: AlgorithmSpec, year: float, deadline_s: float
     _check_year(year)
     if not deadline_s > 0:
         raise DomainError("deadline_s must be > 0")
-    return _deadline_limit(quantum, deadline_s, scenario)(year)
+    return _limits(quantum, scenario, deadline_s)[1](scenario.quantum.at(year))
 
 
 def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> int:
@@ -355,16 +365,16 @@ def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) 
     """
     _require_kind(quantum, "quantum")
     _check_year(year)
-    return _qubit_limit(quantum, scenario)(year)
+    return _limits(quantum, scenario, scenario.deadline_s)[0](scenario.quantum.at(year))
 
 
 def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> FeasibilityEnvelope:
-    """Both size limits for one quantum method in one year: closed form
-    and integer snap in simple mode, doubling-and-bisection search in
-    surface-code mode (where the code distance moves with N)."""
+    """Both size limits for one quantum method in one year, each solved
+    in closed form on a code-distance piece and snapped against its fits
+    predicate."""
     _require_kind(quantum, "quantum")
     _check_year(year)
-    return _envelope_builder(quantum, scenario)(year)
+    return _envelope_builder(quantum, scenario)(year, scenario.quantum.at(year))
 
 
 def advantage_region(
@@ -403,28 +413,48 @@ def first_advantage_year(
     reports what blocked the last infeasible year ("none" when the very
     first year is already feasible).
     """
-    return _scan_years(classical, quantum, scenario, {})
+    return _scan_years(classical, quantum, scenario, {}, {})
 
 
 def _scan_years(
-    classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario, envelopes: dict[int, FeasibilityEnvelope]
+    classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario, envelopes: dict, views: dict
 ) -> DisruptionResult:
     """The year scan of first_advantage_year.  `envelopes` maps year to
-    envelope for this quantum method and scenario; the scan reads it and
-    adds what it builds, so tables that pass one dict per quantum column
-    build each envelope once however many rows scan it."""
-    _require_kind(classical, "classical")
-    _require_kind(quantum, "quantum")
-    build_envelope = _envelope_builder(quantum, scenario)
-    year_test = _year_test(classical, quantum, scenario)
+    envelope for this quantum method and scenario, and `views` year to
+    the scenario's QuantumPlatform.at view; the scan reads both and adds
+    what it builds, so tables that pass one dict per quantum column, and
+    one of views, build each once however many rows scan them."""
+    log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
+    build_envelope, law = _envelope_builder(quantum, scenario), quantum.cost_law
+    catches_up = _catches_up(classical, quantum)
     last_block = None
     any_threshold = False
     for year in scenario.years():
-        decide = year_test(year)
+        hardware = views.get(year)
+        if hardware is None:
+            hardware = views[year] = scenario.quantum.at(year)
+        # The year's trends before the envelope's, in the threshold solve's order.
+        hardware.log_rate(hardware.level(0.0))
+        c_rate = math.log(classical_throughput(scenario.classical, year))
         envelope = envelopes.get(year)
         if envelope is None:
-            envelope = envelopes[year] = build_envelope(year)
-        exists, nonempty = decide(envelope)
+            envelope = envelopes[year] = build_envelope(year, hardware)
+        m = envelope.max_feasible_n
+        pieces = _pieces(hardware, log_t, law, m)
+        if m >= _SNAP_LIMIT or pieces is None:
+            threshold = qea_threshold(classical, quantum, year, scenario)
+            exists = threshold is not None
+            nonempty = exists and math.ceil(threshold) <= m
+        elif catches_up:  # is the gap <= 0 at an integer end of some piece?
+            exists, nonempty = True, False
+            for lo, hi, level in pieces:
+                q_rate = hardware.log_rate(level)
+                if gap(float(lo), q_rate, c_rate) <= 0 or gap(float(hi), q_rate, c_rate) <= 0:
+                    nonempty = True
+                    break
+        else:
+            exists = gap(1.0, hardware.log_rate(hardware.level(log_t(1.0))), c_rate) <= 0
+            nonempty = exists and m >= 1
         any_threshold = any_threshold or exists
         if nonempty:
             constraint = "none" if last_block is None else _blocking_constraint(*last_block)
@@ -433,31 +463,3 @@ def _scan_years(
     if any_threshold:
         return DisruptionResult(verdict=BEYOND_HORIZON, binding_constraint=_blocking_constraint(*last_block))
     return DisruptionResult(verdict=NEVER, binding_constraint="qea")
-
-
-def _year_test(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
-    """year -> (envelope -> (a threshold exists, the region is nonempty)).  The outer
-    call reads the year's trends before the envelope's, as the threshold solve does."""
-
-    def solved(year: int):
-        threshold = qea_threshold(classical, quantum, year, scenario)
-        exists = threshold is not None
-        return lambda envelope: (exists, exists and math.ceil(threshold) <= envelope.max_feasible_n)
-
-    if not _solvable_in_closed_form(quantum.cost_law, scenario):
-        return solved
-    gap_at = _log_seconds_builder(quantum, scenario, classical)
-    catches_up = _catches_up(classical, quantum)
-
-    def root_free(year: int):
-        gap = gap_at(year)
-
-        def decide(envelope: FeasibilityEnvelope) -> tuple[bool, bool]:
-            m, gap1 = envelope.max_feasible_n, gap(1.0)
-            if m >= _SNAP_LIMIT:
-                return solved(year)(envelope)
-            return gap1 <= 0 or catches_up, m >= 1 and (gap1 <= 0 or (catches_up and gap(float(m)) <= 0))
-
-        return decide
-
-    return root_free

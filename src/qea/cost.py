@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 from .catalog import AlgorithmSpec
 from .errors import DomainError
-from .hardware import (
-    REFERENCE_TCOUNT,
-    _log_quantum_throughput,
-    classical_throughput,
-    quantum_logical_throughput,
-)
+from .hardware import REFERENCE_TCOUNT, classical_throughput, quantum_logical_throughput
 from .scenario import Scenario
 
 __all__ = [
@@ -93,66 +88,51 @@ def log_quantum_seconds(alg: AlgorithmSpec, n: float, year: float, scenario: Sce
     """ln(quantum seconds); n may be real."""
     _require_kind(alg, "quantum")
     log_t = alg.cost_law.log_value(n, scenario.epsilon)
-    log_throughput = _log_quantum_throughput(scenario.quantum, year, log_t)
-    return math.log(1.0 / alg.initial_state_fidelity) + log_t - log_throughput
+    hardware = scenario.quantum.at(year)
+    return math.log(1.0 / alg.initial_state_fidelity) + log_t - hardware.log_rate(hardware.level(log_t))
 
 
 def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: AlgorithmSpec | None = None):
-    """year -> the year's log-runtime gap,
-    n -> log_quantum_seconds(quantum, n, year, ...) - log_classical_seconds(classical, n, year, ...),
-    or n -> log_quantum_seconds(quantum, n, year, ...) when classical is None.
+    """(log_t, log_seconds): year-free closures for one method pair.
 
-    Each term is computed as rarely as it can be: the year-free ones (the
-    law constants' logs, b log eps, log beta, log(1/F)) once here, the
-    log-throughputs once per year, and only the n terms per call.  The
+    log_t(n) is the quantum law's ln T-count.  log_seconds(n, q_rate, c_rate)
+    is log_quantum_seconds(quantum, n, ...) - log_classical_seconds(classical, n, ...)
+    in a year whose quantum hardware runs n at ln T-gate rate q_rate
+    (QuantumPlatform.at) and whose classical ln flops rate is c_rate; with
+    classical None it is log_quantum_seconds alone, log_seconds(n, q_rate).
+
+    The year-free terms (the law constants' logs, b log eps, log beta,
+    log(1/F)) are taken once here and only the n terms per call.  The
     closures repeat the float operations of ComplexityModel.log_value and
     the two log_*_seconds functions in their order, so each value is
-    bit-identical to the unfused one.  Surface-code throughput depends on
-    the T-count, so there it is evaluated per n.  The kinds are checked
-    here, the classical method's first.
+    bit-identical to the unfused one.  The kinds are checked here, the
+    classical method's first.
     """
     if classical is not None:
         _require_kind(classical, "classical")
     _require_kind(quantum, "quantum")
-    q_law, platform = quantum.cost_law, scenario.quantum
+    q_law = quantum.cost_law
     log_reps = math.log(1.0 / quantum.initial_state_fidelity)
     q_const, q_a = math.log(q_law.constant), q_law.size_exponent
     q_eps, q_beta = q_law.inv_error_exponent * math.log(scenario.epsilon), math.log(q_law.exp_base)
-    simple = platform.mode == "simple"
     log = math.log
-    if classical is not None:
-        c_law = classical.cost_law
-        c_const, c_a = math.log(c_law.constant), c_law.size_exponent
-        c_eps, c_beta = c_law.inv_error_exponent * math.log(1.0), math.log(c_law.exp_base)
 
-    def at_year(year: float):
-        if simple:
-            q_throughput = log(platform.logical_tgates_per_dollar_second.value(year))
-            if classical is None:
-                return lambda n: (log_reps + (((q_const + q_a * log(n)) - q_eps) + n * q_beta)) - q_throughput
-            c_throughput = log(classical_throughput(scenario.classical, year))
+    def log_t(n: float) -> float:
+        return ((q_const + q_a * log(n)) - q_eps) + n * q_beta
 
-            def gap(n: float) -> float:
-                log_n = log(n)
-                return ((log_reps + (((q_const + q_a * log_n) - q_eps) + n * q_beta)) - q_throughput) - (
-                    (((c_const + c_a * log_n) - c_eps) + n * c_beta) - c_throughput
-                )
+    if classical is None:
+        return log_t, lambda n, q_rate: (log_reps + (((q_const + q_a * log(n)) - q_eps) + n * q_beta)) - q_rate
+    c_law = classical.cost_law
+    c_const, c_a = math.log(c_law.constant), c_law.size_exponent
+    c_eps, c_beta = c_law.inv_error_exponent * math.log(1.0), math.log(c_law.exp_base)
 
-            return gap
+    def gap(n: float, q_rate: float, c_rate: float) -> float:
+        log_n = log(n)
+        return ((log_reps + (((q_const + q_a * log_n) - q_eps) + n * q_beta)) - q_rate) - (
+            (((c_const + c_a * log_n) - c_eps) + n * c_beta) - c_rate
+        )
 
-        def log_quantum(n: float) -> float:
-            log_t = ((q_const + q_a * log(n)) - q_eps) + n * q_beta
-            return (log_reps + log_t) - _log_quantum_throughput(platform, year, log_t)
-
-        if classical is None:
-            return log_quantum
-        # Raise what the quantum side raises before anything the
-        # classical side could, as the unfused difference does.
-        _log_quantum_throughput(platform, year, 0.0)
-        c_throughput = log(classical_throughput(scenario.classical, year))
-        return lambda n: log_quantum(n) - ((((c_const + c_a * log(n)) - c_eps) + n * c_beta) - c_throughput)
-
-    return at_year
+    return log_t, gap
 
 
 def flop_adjusted_constant(runtime_s: float, peak_flops: float, n: int, exponent: float) -> float:

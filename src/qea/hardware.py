@@ -20,8 +20,16 @@ two operating modes:
   and d is the smallest odd integer keeping the whole T-count within a
   failure budget.  A logical T gate then takes d * cycle_time *
   cycles_per_t seconds, the qubit ratio is 2 d^2, and the dollar factor
-  for parallel distillation factories is fixed once so the 2025
-  throughput at the reference T-count matches the simple-mode base.
+  for parallel distillation factories is fixed once per platform so the
+  2025 throughput at the reference T-count matches the simple-mode base.
+
+QuantumPlatform.at(year) is the platform in one year as workloads see it:
+a workload of ln T-count log_t runs at level(log_t), its code distance,
+or in simple mode, where the hardware does not depend on the workload,
+at fixed_level (None in surface-code mode).  A level has ln logical
+T-gate rate log_rate(level) at $1/s and logical-qubit supply
+supply(level), so both are step functions of ln T.  Each trend is read
+once per view, on first use.
 
 Surface-code numbers (A = 0.1, p_th = 1e-2, 1 us cycles, 10 cycles per
 T gate, 1e-3 physical error improving 0.9x/yr) are standard literature
@@ -30,6 +38,7 @@ values, not sourced from the trend data behind the defaults.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,6 +154,18 @@ class QuantumPlatform:
         if self.mode not in ("simple", "surface-code"):
             raise DomainError(f"mode must be simple or surface-code, got {self.mode!r}")
 
+    def at(self, year: float) -> _Year:
+        """The platform in one year, as workloads see it (module docstring)."""
+        return _Year(self, year)
+
+    @functools.cached_property
+    def _factory_factor(self) -> float:
+        """Surface-code parallel-factory factor, fixed so the calibration-year
+        throughput at the reference T-count equals the trend's value there."""
+        anchor_rate = self.logical_tgates_per_dollar_second.value(SC_CALIBRATION_YEAR)
+        anchor = _Year(self, SC_CALIBRATION_YEAR)
+        return anchor_rate * anchor._seconds(anchor.level(math.log(REFERENCE_TCOUNT)))
+
 
 def _code_distance_from_log(log_t_count: float, p_phys: float, params: SurfaceCodeParams) -> int:
     if not 0 < p_phys < 1:
@@ -183,21 +204,61 @@ def required_code_distance(p_phys: float, t_count: float, params: SurfaceCodePar
     return _code_distance_from_log(math.log(t_count), p_phys, params)
 
 
-def _sc_tgate_seconds_from_log(platform: QuantumPlatform, year: float, log_t_count: float) -> float:
-    """Seconds per logical T gate in surface-code mode."""
-    p_now = platform.physical_error_rate.value(year)
-    d = _code_distance_from_log(log_t_count, p_now, platform.sc_params)
-    return d * platform.sc_params.cycle_time_s * platform.sc_params.cycles_per_t_gate
+class _Year:
+    """QuantumPlatform.at: one platform in one year (module docstring)."""
+
+    __slots__ = ("platform", "year", "fixed_level", "_p_phys", "_log_rate", "_physical")
+
+    def __init__(self, platform: QuantumPlatform, year: float):
+        self.platform, self.year = platform, year
+        # Simple-mode hardware runs every workload at one level, 0.
+        self.fixed_level = 0 if platform.mode == "simple" else None
+        self._p_phys = self._log_rate = self._physical = None
+
+    def level(self, log_t_count: float) -> int:
+        """The code distance a workload of ln T-count log_t_count runs at."""
+        if self.fixed_level is not None:
+            return self.fixed_level
+        if self._p_phys is None:
+            self._p_phys = self.platform.physical_error_rate.value(self.year)
+        return _code_distance_from_log(log_t_count, self._p_phys, self.platform.sc_params)
+
+    def top(self, level: int) -> float:
+        """The largest ln T-count at a code distance, once level() has run."""
+        params = self.platform.sc_params
+        log_room = math.log(params.failure_budget) - math.log(params.prefactor_a) + _LOG_SLACK
+        return log_room - (level + 1) // 2 * math.log(self._p_phys / params.threshold_error)
+
+    def _seconds(self, level: int) -> float:
+        """Seconds per logical T gate at a code distance."""
+        return level * self.platform.sc_params.cycle_time_s * self.platform.sc_params.cycles_per_t_gate
+
+    def rate(self, level: int) -> float:
+        if self.fixed_level is not None:
+            return self.platform.logical_tgates_per_dollar_second.value(self.year)
+        return self.platform._factory_factor / self._seconds(level)
+
+    def log_rate(self, level: int) -> float:
+        if self.fixed_level is None:
+            return math.log(self.platform._factory_factor) - math.log(self._seconds(level))
+        if self._log_rate is None:
+            self._log_rate = math.log(self.platform.logical_tgates_per_dollar_second.value(self.year))
+        return self._log_rate
+
+    def supply(self, level: int) -> float:
+        if self._physical is None:
+            self._physical = self.platform.physical_qubits.value(self.year)
+        if self.fixed_level is not None:
+            return self._physical / self.platform.physical_to_logical_ratio.value(self.year)
+        return self._physical / (2.0 * level * level)
 
 
-def _factory_dollar_factor(platform: QuantumPlatform) -> float:
-    """Parallel-factory factor, fixed so the calibration-year throughput
-    at the reference T-count equals the trend's calibration-year value."""
-    anchor_rate = platform.logical_tgates_per_dollar_second.value(SC_CALIBRATION_YEAR)
-    anchor_seconds = _sc_tgate_seconds_from_log(
-        platform, SC_CALIBRATION_YEAR, math.log(REFERENCE_TCOUNT)
-    )
-    return anchor_rate * anchor_seconds
+def _workload(platform: QuantumPlatform, year: float, t_count: float):
+    """The year's view and the level a workload of t_count T gates runs at."""
+    hardware = platform.at(year)
+    if not t_count > 0 and hardware.fixed_level is None:
+        raise DomainError(f"t_count must be > 0, got {t_count}")
+    return hardware, hardware.level(math.log(t_count) if t_count > 0 else -math.inf)
 
 
 def quantum_logical_throughput(platform: QuantumPlatform, year: float, t_count: float) -> float:
@@ -208,19 +269,8 @@ def quantum_logical_throughput(platform: QuantumPlatform, year: float, t_count: 
     physical error rate; larger workloads need more suppression and so
     run slower.
     """
-    if platform.mode == "simple":
-        return platform.logical_tgates_per_dollar_second.value(year)
-    if not t_count > 0:
-        raise DomainError(f"t_count must be > 0, got {t_count}")
-    seconds = _sc_tgate_seconds_from_log(platform, year, math.log(t_count))
-    return _factory_dollar_factor(platform) / seconds
-
-
-def _log_quantum_throughput(platform: QuantumPlatform, year: float, log_t_count: float) -> float:
-    if platform.mode == "simple":
-        return math.log(platform.logical_tgates_per_dollar_second.value(year))
-    seconds = _sc_tgate_seconds_from_log(platform, year, log_t_count)
-    return math.log(_factory_dollar_factor(platform)) - math.log(seconds)
+    hardware, level = _workload(platform, year, t_count)
+    return hardware.rate(level)
 
 
 def available_logical_qubits(platform: QuantumPlatform, year: float, t_count: float) -> float:
@@ -229,19 +279,5 @@ def available_logical_qubits(platform: QuantumPlatform, year: float, t_count: fl
     The ratio is the configured trend in simple mode and 2 d^2 in
     surface-code mode, with d matched to this workload's T-count.
     """
-    if platform.mode != "simple" and not t_count > 0:
-        raise DomainError(f"t_count must be > 0, got {t_count}")
-    return _logical_qubits_from_log(platform, year, math.log(t_count) if t_count > 0 else -math.inf)
-
-
-def _logical_qubits_from_log(platform: QuantumPlatform, year: float, log_t_count: float) -> float:
-    """available_logical_qubits for a T-count given by its log, which may
-    lie past float range."""
-    physical = platform.physical_qubits.value(year)
-    if platform.mode == "simple":
-        ratio = platform.physical_to_logical_ratio.value(year)
-    else:
-        p_now = platform.physical_error_rate.value(year)
-        d = _code_distance_from_log(log_t_count, p_now, platform.sc_params)
-        ratio = 2.0 * d * d
-    return physical / ratio
+    hardware, level = _workload(platform, year, t_count)
+    return hardware.supply(level)

@@ -93,14 +93,15 @@ def _verdict_cells(classical_names: tuple[str, ...], columns: list[tuple]) -> di
     """The year scan of each (classical, column name) cell, row by row, for
     columns (name, scenario, quantum spec).  Each method is resolved once
     per distinct column scenario.  Columns differ in algorithm tunings
-    only, never in the hardware, so equal quantum specs share envelopes."""
-    envelopes = {q_spec: {} for _, _, q_spec in columns}
+    only, never in the hardware, so equal quantum specs share envelopes
+    and every cell shares the hardware's yearly views."""
+    envelopes, views = {q_spec: {} for _, _, q_spec in columns}, {}
     c_specs, cells = {}, {}
     for c in classical_names:
         for name, s, q_spec in columns:
             if (id(s), c) not in c_specs:
                 c_specs[(id(s), c)] = s.algorithm(c)
-            cells[(c, name)] = _scan_years(c_specs[(id(s), c)], q_spec, s, envelopes[q_spec])
+            cells[(c, name)] = _scan_years(c_specs[(id(s), c)], q_spec, s, envelopes[q_spec], views)
     return cells
 
 

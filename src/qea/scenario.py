@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import CalibrationError, DomainError, ScenarioError, UnknownMethodError
@@ -238,6 +239,8 @@ def default_scenario() -> Scenario:
 def _number(value, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # JSON integers are exact
+        raise ScenarioError(f"{where} must be within float range (1.8e308), got an integer past it")
     return value
 
 
@@ -405,7 +408,7 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ScenarioError(f"scenario file {path!r} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 

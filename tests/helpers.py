@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 
 from qea import (
     ClassicalPlatform,
@@ -59,6 +60,19 @@ def with_tuning(scenario, name, **fields):
     return dataclasses.replace(scenario, algorithms=algorithms)
 
 
+def fused_log_seconds(quantum, scenario, classical, year):
+    """n -> the fused log-runtime gap of the pair in one year (the quantum
+    log-runtime alone when classical is None), each n at its own hardware
+    level."""
+    from qea.cost import _log_seconds_builder
+    from qea.hardware import classical_throughput
+
+    log_t, log_seconds = _log_seconds_builder(quantum, scenario, classical)
+    hardware = scenario.quantum.at(year)
+    rates = () if classical is None else (math.log(classical_throughput(scenario.classical, year)),)
+    return lambda n: log_seconds(n, hardware.log_rate(hardware.level(log_t(n))), *rates)
+
+
 def count_envelopes(monkeypatch):
     """Counter of the envelopes built per (quantum spec, year), through the
     per-scan envelope builder that the year scan and feasibility_envelope
@@ -71,9 +85,9 @@ def count_envelopes(monkeypatch):
     def counting(quantum, scenario):
         build = original(quantum, scenario)
 
-        def envelope(year):
+        def envelope(year, hardware):
             counts[(quantum, year)] += 1
-            return build(year)
+            return build(year, hardware)
 
         return envelope
 

@@ -217,6 +217,12 @@ class TestScenarioHandling:
             '{"deadline_s": Infinity}',
             # Used to end in OverflowError (exit 1).
             '{"quantum": {"mode": "surface-code", "surface_code": {"A": Infinity}}}',
+            # JSON integers past float range: the first used to end in
+            # OverflowError (exit 1), the second loaded and printed a table.
+            '{"classical": {"flops_trend": {"base_year": 1%s}}}' % ("0" * 400),
+            '{"overrides": {"qpe-n3": {"constant": 1%s}}}' % ("0" * 400),
+            # Too many digits to parse at all: used to end in ValueError.
+            '{"epsilon": 1%s}' % ("0" * 5000),
         ],
     )
     def test_bad_number_in_scenario_exit_3(self, capsys, tmp_path, doc):

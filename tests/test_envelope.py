@@ -1,4 +1,5 @@
-"""Feasibility envelopes: the simple-mode closed form against the search,
+"""Feasibility envelopes: the closed form on each code-distance piece
+against a plain search of the per-N predicates, in both hardware modes,
 and envelope sharing inside tables."""
 
 import math
@@ -19,18 +20,42 @@ from qea import (
     robustness_table,
     standard_variations,
 )
-from qea.advantage import SIZE_CAP, _largest_true
+from qea.advantage import SIZE_CAP
 from qea.cost import log_quantum_seconds
 from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS
 
 from helpers import count_envelopes, make_scenario
 
+def _largest_true(predicate) -> int:
+    """Largest integer N in [1, SIZE_CAP] satisfying a monotone predicate,
+    0 if even N = 1 fails: doubling from 1, then bisection.  The
+    reference the engine's closed forms and piece walk are checked
+    against."""
+    if not predicate(1):
+        return 0
+    lo, hi = 1, 2
+    while hi <= SIZE_CAP and predicate(hi):
+        lo, hi = hi, hi * 2
+    if hi > SIZE_CAP:
+        if predicate(SIZE_CAP):
+            return SIZE_CAP
+        hi = SIZE_CAP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 log10 = st.floats(min_value=-12.0, max_value=25.0)
 exponent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0))
 
 
-def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year):
-    """A quantum method and a simple-mode scenario; sizes are log10."""
+def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year, error=None):
+    """A quantum method and a scenario; sizes are log10.  With an error
+    rate (log10, flat) the hardware is surface-code, else simple."""
     spec = AlgorithmSpec(
         name="q",
         kind="quantum",
@@ -43,6 +68,7 @@ def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, ye
         physical=(2024, 10**physical, 2.2),
         ratio=(2025, 10**ratio, 1.0),
         deadline_s=10**deadline,
+        **({} if error is None else {"mode": "surface-code", "error": (2025, 10**error, 1.0)}),
     )
     return spec, scenario, year
 
@@ -58,24 +84,32 @@ def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, ye
     tgate=st.floats(min_value=0.0, max_value=10.0),
     deadline=log10,
     year=st.integers(min_value=2000, max_value=2080),
+    error=st.one_of(st.none(), st.floats(min_value=-4.0, max_value=-2.2)),
 )
 # Exponent 0: every size fits (SIZE_CAP) or none does.
-@example(qubit_c=1.0, qubit_a=0.0, cost_c=0.0, cost_a=0.0, physical=5.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025)
-@example(qubit_c=4.0, qubit_a=0.0, cost_c=6.0, cost_a=0.0, physical=3.0, ratio=3.0, tgate=0.0, deadline=-6.0, year=2025)
+@example(qubit_c=1.0, qubit_a=0.0, cost_c=0.0, cost_a=0.0, physical=5.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025, error=None)
+@example(qubit_c=4.0, qubit_a=0.0, cost_c=6.0, cost_a=0.0, physical=3.0, ratio=3.0, tgate=0.0, deadline=-6.0, year=2025, error=None)
 # Supply below one logical qubit.
-@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=-1.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025)
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=-1.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025, error=None)
 # Deadline shorter than the N = 1 runtime.
-@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=5.0, ratio=3.0, tgate=0.0, deadline=-12.0, year=2025)
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=5.0, ratio=3.0, tgate=0.0, deadline=-12.0, year=2025, error=None)
 # Both limits at SIZE_CAP, and just under it where float error is largest.
-@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=0.5, physical=12.0, ratio=0.0, tgate=10.0, deadline=25.0, year=2080)
-@example(qubit_c=0.0, qubit_a=1.0, cost_c=0.0, cost_a=1.0, physical=14.9, ratio=0.0, tgate=0.0, deadline=17.9, year=2024)
-def test_closed_form_sizes_equal_search(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year):
-    spec, scenario, year = _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year)
-    supply = available_logical_qubits(scenario.quantum, year, 1.0)
+@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=0.5, physical=12.0, ratio=0.0, tgate=10.0, deadline=25.0, year=2080, error=None)
+@example(qubit_c=0.0, qubit_a=1.0, cost_c=0.0, cost_a=1.0, physical=14.9, ratio=0.0, tgate=0.0, deadline=17.9, year=2024, error=None)
+# Surface code: a flat law is one piece; a steep one near the code
+# threshold crosses hundreds of distance steps before SIZE_CAP.
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=0.0, physical=9.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2030,
+         error=-3.0)
+@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=8.0, physical=12.0, ratio=3.0, tgate=10.0, deadline=25.0,
+         year=2030, error=-2.2)
+def test_closed_form_sizes_equal_search(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year, error):
+    spec, scenario, year = _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year, error)
     log_deadline = math.log(scenario.deadline_s)
 
     def qubit_fits(n):
-        return spec.qubit_law.value(n, 1.0) <= supply
+        # In surface-code mode the supply depends on this N's own T-count.
+        t_count = spec.cost_law.value(n, scenario.epsilon)
+        return spec.qubit_law.value(n, 1.0) <= available_logical_qubits(scenario.quantum, year, t_count)
 
     def deadline_fits(n):
         return log_quantum_seconds(spec, float(n), year, scenario) <= log_deadline

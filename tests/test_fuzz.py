@@ -1,7 +1,8 @@
 """Schema-driven scenario fuzzer: every scenario file, however extreme
 its values, ends each CLI command in a result or a typed error (exit
 0, 2, 3 or 4), never in a traceback or a hang; and a file holding a
-non-finite number is a load error (exit 3)."""
+non-finite number, or an integer past float range, is a load error
+(exit 3)."""
 
 import json
 import math
@@ -17,7 +18,9 @@ from qea.scenario import _SCHEMA
 CATALOG = builtin_catalog()
 CLASSICAL = sorted(name for name, spec in CATALOG.items() if spec.kind == "classical")
 QUANTUM = sorted(name for name, spec in CATALOG.items() if spec.kind == "quantum")
-EXTREMES = [0, -1, 1e-300, 1e300, 1e30, 1e308, float("inf"), float("-inf"), float("nan")]
+# JSON integers are exact, so 10**400 reaches the loader as an int past
+# float range.
+EXTREMES = [0, -1, 1e-300, 1e300, 1e30, 1e308, float("inf"), float("-inf"), float("nan"), 10**400, -(10**400)]
 
 
 SHIPPED = scenario_to_dict(default_scenario())
@@ -58,8 +61,10 @@ def scenario_docs(draw):
 
 
 def non_finite(doc: dict) -> bool:
+    """Whether the document holds a number no float can hold."""
     return any(
-        non_finite(v) if isinstance(v, dict) else isinstance(v, float) and not math.isfinite(v)
+        non_finite(v) if isinstance(v, dict)
+        else isinstance(v, float) and not math.isfinite(v) or isinstance(v, int) and abs(v) > 1e308
         for v in doc.values()
     )
 
@@ -77,13 +82,16 @@ def commands(classical: str, quantum: str) -> list[list[str]]:
 
 # Each fault this fuzzer found, pinned: an infinite surface-code
 # field (OverflowError, or a silent ">2050" in every cell), a code
-# distance past float resolution (a hang), and a threshold bracket
-# starting past float range (OverflowError).
+# distance past float resolution (a hang), a threshold bracket
+# starting past float range (OverflowError), and JSON integers past float
+# range (OverflowError, or a table from a constant no float holds).
 @example({"quantum": {"mode": "surface-code", "surface_code": {"A": float("inf")}}}, "FCI", "qpe-n3")
 @example({"quantum": {"mode": "surface-code", "surface_code": {"cycle_time_s": float("inf")}}}, "FCI", "qpe-n3")
 @example({"quantum": {"mode": "surface-code"}, "overrides": {"qpe-n3": {"exponent": 1e30}}}, "FCI", "qpe-n3")
 @example({"overrides": {"qpe-n2": {"exponent": 1.5e308}}}, "FCI", "qpe-n2")
 @example({"quantum": {"mode": "surface-code"}, "overrides": {"qpe-n2": {"exponent": 1e308}}}, "FCI", "qpe-n2")
+@example({"classical": {"flops_trend": {"base_year": 10**400}}}, "FCI", "qpe-n3")
+@example({"overrides": {"qpe-n3": {"constant": 10**400}}}, "FCI", "qpe-n3")
 @given(scenario_docs(), st.sampled_from(CLASSICAL), st.sampled_from(QUANTUM))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_ends_in_a_result_or_a_typed_error(capsys, doc, classical, quantum):

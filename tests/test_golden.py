@@ -1,9 +1,12 @@
 """Golden CLI outputs: the sha256 of canonical runs on the default scenario.
 
 Performance work on the solvers must leave every output byte as it was.
-These digests pin the simple-mode outputs that the tables, curves,
-thresholds and calibration produce today; a change that moves any float
-by one ulp changes a digest.  Surface-code outputs are not pinned here.
+These digests pin the outputs that the tables, curves, thresholds and
+calibration produce today, in simple mode and, for a table, the stock
+robustness table and an FCI curve, on surface-code hardware; a change
+that moves any float by one ulp changes a digest.  The surface-code
+outputs were checked cell by cell against perfbench/oracle.py when
+recorded.
 The CSV digest line is the sha256 of the scenario's canonical dump, so
 the custom-scenario case also pins the file format's dump bytes.
 
@@ -56,6 +59,10 @@ CUSTOM_DOC = {
     },
 }
 
+# The shipped scenario on surface-code hardware: the code distance, and
+# with it the gate time and qubit ratio, steps with each workload's T-count.
+SURFACE_SCENARIO = "<surface-scenario>"
+
 CASES = {
     "table-csv": ["table", "--format", "csv"],
     "table-text": ["table"],
@@ -69,6 +76,9 @@ CASES = {
     "robustness-vary-text": ["robustness", "--vary", "logical=3", "--vary", "classical_time=2", "--quantum", "qpe-n2"],
     # Catalog-only methods and a_q > a_c pairs (qpe-n5 against DMRG,
     # VMC, DFT, HF, MP2), whose advantage can start at N = 1.
+    "surface-curve-fci-n3": "de831471c1031988d1681bcded4fab8c8d46f2c601bf2fa0adb1ec39cdd4d9d6",
+    "surface-robustness-csv": "8b368bdf986e43f674fa51e16fdc96c4fc03ed2200315b6ff15d9f3116c02516",
+    "surface-table-csv": "07d4d7aa59db9fd7bfe412a134fd3da1a30f85aaa5706220be3c89874a82d4b0",
     "table-catalog-csv": [
         "table", "--classical", "DMRG,VMC,DFT,HF,MP2,CCSDT,FCI", "--quantum", "qpe-n5,qpe-n3,qpe-n2",
         "--format", "csv",
@@ -86,6 +96,12 @@ CASES = {
     "threshold-custom-scenario": [
         "threshold", "--scenario", CUSTOM_SCENARIO, "--classical", "CCSDT", "--quantum", "qpe-n3",
         "--year", "2040", "--format", "csv",
+    ],
+    "surface-table-csv": ["table", "--scenario", SURFACE_SCENARIO, "--format", "csv"],
+    "surface-robustness-csv": ["robustness", "--scenario", SURFACE_SCENARIO, "--format", "csv"],
+    "surface-curve-fci-n3": [
+        "curve", "--scenario", SURFACE_SCENARIO, "--classical", "FCI", "--quantum", "qpe-n3", "--step", "0.25",
+        "--format", "csv",
     ],
     "calibrate-perturbed": [
         "calibrate", "--scenario", SCENARIO,
@@ -105,6 +121,9 @@ GOLDEN = {
     "robustness-vary-csv": "01b1b61244bad7124c0a11bd933dd42c67b6131982e082c37a88dcfbc5982520",
     "robustness-vary-text": "9a45408b7f3266986ca41c05883b895ad07412877a1d15baee4dc40b13a7f48a",
     "robustness-qpe-n5-csv": "f2f8b3256a30651e7529d2430ad9a1e282779a10a3bd79825ec3da9f95ccd794",
+    "surface-curve-fci-n3": "de831471c1031988d1681bcded4fab8c8d46f2c601bf2fa0adb1ec39cdd4d9d6",
+    "surface-robustness-csv": "8b368bdf986e43f674fa51e16fdc96c4fc03ed2200315b6ff15d9f3116c02516",
+    "surface-table-csv": "07d4d7aa59db9fd7bfe412a134fd3da1a30f85aaa5706220be3c89874a82d4b0",
     "table-catalog-csv": "717641ec2508df189a75c2bb7c5c097415ad7c6ba8cbe604fbce81fc1f320e83",
     "table-csv": "97ead809bf097ac2304657e83868d635d3b2e73eb4faad090ee6b63b00a6af78",
     "table-text": "7c933d6d40c1f30881f7131dcd802fd7de6206c6bf7f355c4725ef974b602567",
@@ -133,7 +152,19 @@ def _custom_scenario_file(directory: pathlib.Path) -> str:
     return str(path)
 
 
-SCENARIO_FILES = {SCENARIO: _perturbed_scenario_file, CUSTOM_SCENARIO: _custom_scenario_file}
+def _surface_scenario_file(directory: pathlib.Path) -> str:
+    doc = scenario_to_dict(default_scenario())
+    doc["quantum"]["mode"] = "surface-code"
+    path = directory / "surface.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+SCENARIO_FILES = {
+    SCENARIO: _perturbed_scenario_file,
+    CUSTOM_SCENARIO: _custom_scenario_file,
+    SURFACE_SCENARIO: _surface_scenario_file,
+}
 
 
 def _stdout_sha256(name: str, directory: pathlib.Path) -> str:

@@ -16,7 +16,7 @@ from qea import (
     required_code_distance,
     trend_value,
 )
-from qea.hardware import REFERENCE_TCOUNT, _code_distance_from_log, _logical_qubits_from_log
+from qea.hardware import REFERENCE_TCOUNT
 
 from helpers import make_scenario
 
@@ -142,12 +142,13 @@ class TestCodeDistance:
         # search walked down one integer at a time: ln T = 1e30 never
         # returned.
         params = SurfaceCodeParams()
+        hardware = make_scenario(mode="surface-code", error=(2025, 1e-3, 1.0)).quantum.at(2025)
         with pytest.raises(DomainError, match="code distance past"):
-            _code_distance_from_log(1e30, 1e-3, params)
+            hardware.level(1e30)
         # Just below the bound the distance is still solved.
         log_ratio = math.log(1e-3 / params.threshold_error)
         rhs_free = math.log(params.failure_budget) - math.log(params.prefactor_a)
-        d = _code_distance_from_log(rhs_free - 2.0**51 * log_ratio, 1e-3, params)
+        d = hardware.level(rhs_free - 2.0**51 * log_ratio)
         assert d == 2 * 2**51 - 1
 
     @pytest.mark.parametrize("field", ["prefactor_a", "cycle_time_s", "cycles_per_t_gate"])
@@ -211,12 +212,15 @@ class TestLogicalQubits:
         distance keeps growing with ln T, and where the T-count is finite
         the log form is the same function."""
         s = make_scenario(mode="surface-code", physical=(2025, 1e12, 1.0))
+        hardware = s.quantum.at(2025)
+
+        def supply(log_t):
+            return hardware.supply(hardware.level(log_t))
+
         for t_count in (1.0, 1e10, 1e300):
-            assert _logical_qubits_from_log(s.quantum, 2025, math.log(t_count)) == available_logical_qubits(
-                s.quantum, 2025, t_count
-            )
-        edge = _logical_qubits_from_log(s.quantum, 2025, math.log(1e300))
-        past = [_logical_qubits_from_log(s.quantum, 2025, log_t) for log_t in (800.0, 1600.0)]
+            assert supply(math.log(t_count)) == available_logical_qubits(s.quantum, 2025, t_count)
+        edge = supply(math.log(1e300))
+        past = [supply(log_t) for log_t in (800.0, 1600.0)]
         assert edge > past[0] > past[1] > 0
         # 2 d^2 with d = 2m - 1 and m the smallest step that meets the budget.
         m = math.ceil((math.log(1e-2) - math.log(0.1) - 1600.0) / math.log(1e-3 / 1e-2))

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import qea.hardware as hardware
 from qea import AlgorithmSpec, ComplexityModel, default_scenario, qea_threshold
-from qea.cost import _log_seconds_builder, log_classical_seconds, log_quantum_seconds
+from qea.cost import log_classical_seconds, log_quantum_seconds
 
-from helpers import make_scenario
+from helpers import fused_log_seconds, make_scenario
 
 exponent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0))
 exp_base = st.one_of(st.just(1.0), st.just(4.0), st.floats(min_value=1.0, max_value=5.0))
@@ -53,9 +53,8 @@ def test_gap_is_bit_identical_to_unfused_difference(c_law, q_law, fidelity, log_
     n = float(10**log_n)
     q_seconds = log_quantum_seconds(quantum, n, year, scenario)
     want = q_seconds - log_classical_seconds(classical, n, year, scenario)
-    gap = _log_seconds_builder(quantum, scenario, classical)(year)
-    assert gap(n).hex() == want.hex()
-    assert _log_seconds_builder(quantum, scenario)(year)(n).hex() == q_seconds.hex()
+    assert fused_log_seconds(quantum, scenario, classical, year)(n).hex() == want.hex()
+    assert fused_log_seconds(quantum, scenario, None, year)(n).hex() == q_seconds.hex()
 
 
 def test_gap_is_bit_identical_on_seeded_draws():
@@ -86,7 +85,7 @@ def test_gap_is_bit_identical_on_seeded_draws():
             epsilon=10 ** rng.uniform(-6, 0),
         )
         year = rng.uniform(2020, 2080)
-        gap = _log_seconds_builder(quantum, scenario, classical)(year)
+        gap = fused_log_seconds(quantum, scenario, classical, year)
         for n in (1.0, float(rng.randint(2, 10**6)), 10 ** rng.uniform(0, 12)):
             want = log_quantum_seconds(quantum, n, year, scenario) - log_classical_seconds(
                 classical, n, year, scenario

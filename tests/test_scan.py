@@ -32,9 +32,8 @@ from qea import (
 )
 from qea.advantage import BEYOND_HORIZON, NEVER, DisruptionResult
 from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS, builtin_catalog
-from qea.cost import _log_seconds_builder
 
-from helpers import count_envelopes, make_scenario, with_tuning
+from helpers import count_envelopes, fused_log_seconds, make_scenario, with_tuning
 
 CLASSICAL = sorted(name for name, spec in builtin_catalog().items() if spec.kind == "classical")
 QUANTUM = sorted(name for name, spec in builtin_catalog().items() if spec.kind == "quantum")
@@ -199,7 +198,7 @@ def test_advantage_from_n_equals_one_when_gap_rises():
     result = _assert_scans_agree(s, "DMRG", "qpe-n5")
     year = result.verdict
     assert year == s.start_year
-    gap = _log_seconds_builder(qpe, s, dmrg)(year)
+    gap = fused_log_seconds(qpe, s, dmrg, year)
     m = feasibility_envelope(qpe, year, s).max_feasible_n
     assert gap(1.0) <= 0 < gap(float(m))
 
@@ -266,7 +265,8 @@ def test_non_finite_exponent_is_rejected_at_load(method):
 
 @pytest.mark.parametrize("pair", [("CCSD(T)", "qpe-n3"), ("FCI", "qpe-n2")])
 def test_surface_code_scan_matches(pair):
-    """Surface-code scans still solve every year."""
+    """Surface-code scans walk the code-distance pieces; solving every
+    year gives the same verdicts."""
     _assert_scans_agree(make_scenario(mode="surface-code", tgate=(2025, 1e5, 2.5), physical=(2024, 1.1e3, 2.4)), *pair)
 
 
