@@ -226,18 +226,6 @@ def _bisect(predicate, a: float, b: float, tol: float) -> tuple[float, float]:
     return a, b
 
 
-def _bisect_largest(predicate, lo: int, hi: int) -> int:
-    """Largest N in [lo, hi) satisfying a monotone predicate that holds
-    at lo and fails at hi."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _snap_largest(predicate, estimate: float) -> int:
     """Largest integer N in [1, SIZE_CAP] satisfying a monotone predicate,
     0 if even N = 1 fails, searched outward from a real-valued estimate
@@ -248,23 +236,31 @@ def _snap_largest(predicate, estimate: float) -> int:
     2 log2(k) + 2 predicate calls.  The answer rests on the predicate
     alone; the estimate only sets where the search starts.
     """
-    if math.isnan(estimate):
-        estimate = 1.0
-    n = int(min(max(estimate, 1.0), SIZE_CAP))
+    lo = hi = int(min(estimate, SIZE_CAP)) if estimate >= 1.0 else 1  # NaN starts at 1 too
     step = 1
-    if predicate(n):
-        while n < SIZE_CAP:
-            hi = min(n + step, SIZE_CAP)
+    if predicate(lo):  # bracket [lo, hi) upward: the predicate holds at lo and fails at hi
+        while True:
+            if lo == SIZE_CAP:
+                return SIZE_CAP
+            hi = min(lo + step, SIZE_CAP)
             if not predicate(hi):
-                return _bisect_largest(predicate, n, hi)
-            n, step = hi, step * 2
-        return SIZE_CAP
-    while n > 1:
-        lo = max(n - step, 1)
-        if predicate(lo):
-            return _bisect_largest(predicate, lo, n)
-        n, step = lo, step * 2
-    return 0
+                break
+            lo, step = hi, step * 2
+    else:  # downward
+        while True:
+            if hi == 1:
+                return 0
+            lo = max(hi - step, 1)
+            if predicate(lo):
+                break
+            hi, step = lo, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _monomial_size(log_room: float, exponent: float) -> float:

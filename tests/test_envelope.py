@@ -26,6 +26,7 @@ from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS
 
 from helpers import count_envelopes, make_scenario
 
+
 def _largest_true(predicate) -> int:
     """Largest integer N in [1, SIZE_CAP] satisfying a monotone predicate,
     0 if even N = 1 fails: doubling from 1, then bisection.  The
@@ -87,15 +88,21 @@ def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, ye
     error=st.one_of(st.none(), st.floats(min_value=-4.0, max_value=-2.2)),
 )
 # Exponent 0: every size fits (SIZE_CAP) or none does.
-@example(qubit_c=1.0, qubit_a=0.0, cost_c=0.0, cost_a=0.0, physical=5.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025, error=None)
-@example(qubit_c=4.0, qubit_a=0.0, cost_c=6.0, cost_a=0.0, physical=3.0, ratio=3.0, tgate=0.0, deadline=-6.0, year=2025, error=None)
+@example(qubit_c=1.0, qubit_a=0.0, cost_c=0.0, cost_a=0.0, physical=5.0, ratio=3.0, tgate=5.0, deadline=6.0,
+         year=2025, error=None)
+@example(qubit_c=4.0, qubit_a=0.0, cost_c=6.0, cost_a=0.0, physical=3.0, ratio=3.0, tgate=0.0, deadline=-6.0,
+         year=2025, error=None)
 # Supply below one logical qubit.
-@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=-1.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2025, error=None)
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=-1.0, ratio=3.0, tgate=5.0, deadline=6.0,
+         year=2025, error=None)
 # Deadline shorter than the N = 1 runtime.
-@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=5.0, ratio=3.0, tgate=0.0, deadline=-12.0, year=2025, error=None)
+@example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=3.0, physical=5.0, ratio=3.0, tgate=0.0, deadline=-12.0,
+         year=2025, error=None)
 # Both limits at SIZE_CAP, and just under it where float error is largest.
-@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=0.5, physical=12.0, ratio=0.0, tgate=10.0, deadline=25.0, year=2080, error=None)
-@example(qubit_c=0.0, qubit_a=1.0, cost_c=0.0, cost_a=1.0, physical=14.9, ratio=0.0, tgate=0.0, deadline=17.9, year=2024, error=None)
+@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=0.5, physical=12.0, ratio=0.0, tgate=10.0, deadline=25.0,
+         year=2080, error=None)
+@example(qubit_c=0.0, qubit_a=1.0, cost_c=0.0, cost_a=1.0, physical=14.9, ratio=0.0, tgate=0.0, deadline=17.9,
+         year=2024, error=None)
 # Surface code: a flat law is one piece; a steep one near the code
 # threshold crosses hundreds of distance steps before SIZE_CAP.
 @example(qubit_c=1.0, qubit_a=1.0, cost_c=0.0, cost_a=0.0, physical=9.0, ratio=3.0, tgate=5.0, deadline=6.0, year=2030,
