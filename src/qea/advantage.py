@@ -23,13 +23,14 @@ exist, so it is smallest at an end.  A level step lifts the gap.
 
 Hence a size limit lies in the first piece whose end does not fit, and a
 year with feasible size M is advantageous iff some piece, clipped to
-[1, M], has gap <= 0 at an integer end.  The threshold is the first
-crossing, solved at the level of N = 1 and then at the level each root
-lands on: in closed form for polynomial laws, by bisection in ln N
-otherwise, snapped below _SNAP_LIMIT so its ceiling is exactly the
-smallest advantageous integer.  It is absent iff gap(1) > 0 and the
-quantum law grows at least as fast.  The scan solves it where M >=
-_SNAP_LIMIT, past which no snap backs the endpoint test, and for an
+[1, M], has gap <= 0 at an integer end, so one walk of the pieces per
+(quantum method, year) serves both limits and the year scan.  The
+threshold is the first crossing, solved at the level of N = 1 and then
+at the level each root lands on: in closed form for polynomial laws, by
+bisection in ln N otherwise, snapped below _SNAP_LIMIT so its ceiling is
+exactly the smallest advantageous integer.  It is absent iff gap(1) > 0
+and the quantum law grows at least as fast.  The scan solves it where
+M >= _SNAP_LIMIT, past which no snap backs the endpoint test, and for an
 exponential quantum law on surface-code hardware, whose pieces are too
 many to walk and whose limits are searched size by size from N = 1.
 """
@@ -37,10 +38,10 @@ many to walk and whose limits are searched size by size from N = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import AlgorithmSpec
-from .cost import _log_seconds_builder, _require_kind
+from .cost import _log_seconds_builder
 from .errors import DomainError
 from .hardware import classical_throughput
 from .scenario import Scenario
@@ -294,12 +295,12 @@ def _walk(hardware, log_t, exponent: float, cap: int):
         lo = hi + 1
 
 
-def _limits(quantum: AlgorithmSpec, scenario: Scenario, deadline_s: float):
-    """(qubit limit, deadline limit): a year's hardware -> the largest N in
-    [1, SIZE_CAP] whose logical qubits fit the supply, or whose runtime
-    fits the deadline; 0 if none does."""
+def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
+    """(year, that year's QuantumPlatform.at view) -> (its envelope, the
+    pieces walked until both limits were found, which cover
+    [1, max_feasible_n]; None where _pieces is None)."""
     law, qubit_law = quantum.cost_law, quantum.qubit_law
-    (log_t, log_seconds), log_deadline = _log_seconds_builder(quantum, scenario), math.log(deadline_s)
+    (log_t, log_seconds), log_deadline = _log_seconds_builder(quantum, scenario), math.log(scenario.deadline_s)
     log_qubit_constant = math.log(qubit_law.constant)
 
     def qubits_at(hardware, level):
@@ -315,29 +316,27 @@ def _limits(quantum: AlgorithmSpec, scenario: Scenario, deadline_s: float):
         estimate = _monomial_size(log_deadline - log_seconds(1.0, q_rate), law.size_exponent)
         return (lambda n: log_seconds(float(n), q_rate) <= log_deadline), estimate
 
-    def largest(limit_at):
-        def limit(hardware) -> int:
-            pieces = _pieces(hardware, log_t, law, SIZE_CAP)
-            if pieces is None:  # each N at its own level, searched from 1
-                return _snap_largest(lambda n: limit_at(hardware, hardware.level(log_t(float(n))))[0](n), 1.0)
-            for lo, hi, level in pieces:
-                fits, estimate = limit_at(hardware, level)
-                if hi == SIZE_CAP or not fits(hi):
-                    return max(lo - 1, _snap_largest(fits, estimate))
+    limits_at = (qubits_at, deadline_at)
 
-        return limit
-
-    return largest(qubits_at), largest(deadline_at)
-
-
-def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
-    """(year, that year's QuantumPlatform.at view) ->
-    feasibility_envelope(quantum, year, scenario)."""
-    qubit_limit, deadline_limit = _limits(quantum, scenario, scenario.deadline_s)
-
-    def envelope(year: float, hardware) -> FeasibilityEnvelope:
-        qubit_n, deadline_n = qubit_limit(hardware), deadline_limit(hardware)
-        return FeasibilityEnvelope(year, qubit_n, deadline_n, min(qubit_n, deadline_n))
+    def envelope(year: float, hardware):
+        pieces = _pieces(hardware, log_t, law, SIZE_CAP)
+        if pieces is None:  # each N at its own level, searched from 1
+            limits = [
+                _snap_largest(lambda n: at(hardware, hardware.level(log_t(float(n))))[0](n), 1.0) for at in limits_at
+            ]
+        else:  # each limit in the first piece whose end does not fit
+            walked, limits, pieces = [], [None, None], iter(pieces)
+            while None in limits:
+                walked.append(next(pieces))
+                lo, hi, level = walked[-1]
+                for i in 0, 1:
+                    if limits[i] is None:
+                        fits, estimate = limits_at[i](hardware, level)
+                        if hi == SIZE_CAP or not fits(hi):
+                            limits[i] = max(lo - 1, _snap_largest(fits, estimate))
+            pieces = walked
+        qubit_n, deadline_n = limits
+        return FeasibilityEnvelope(year, qubit_n, deadline_n, min(qubit_n, deadline_n)), pieces
 
     return envelope
 
@@ -345,11 +344,9 @@ def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
 def deadline_limited_size(quantum: AlgorithmSpec, year: float, deadline_s: float, scenario: Scenario) -> int:
     """Largest N whose quantum runtime fits within the deadline; 0 if
     none does."""
-    _require_kind(quantum, "quantum")
-    _check_year(year)
     if not deadline_s > 0:
         raise DomainError("deadline_s must be > 0")
-    return _limits(quantum, scenario, deadline_s)[1](scenario.quantum.at(year))
+    return feasibility_envelope(quantum, year, replace(scenario, deadline_s=deadline_s)).deadline_limited_n
 
 
 def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> int:
@@ -359,18 +356,16 @@ def qubit_limited_size(quantum: AlgorithmSpec, year: float, scenario: Scenario) 
     T-count of the same N being tested (bigger workloads push the code
     distance, and with it the physical-per-logical ratio, up).
     """
-    _require_kind(quantum, "quantum")
-    _check_year(year)
-    return _limits(quantum, scenario, scenario.deadline_s)[0](scenario.quantum.at(year))
+    return feasibility_envelope(quantum, year, scenario).qubit_limited_n
 
 
 def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario) -> FeasibilityEnvelope:
     """Both size limits for one quantum method in one year, each solved
     in closed form on a code-distance piece and snapped against its fits
     predicate."""
-    _require_kind(quantum, "quantum")
+    build = _envelope_builder(quantum, scenario)  # checks the kind
     _check_year(year)
-    return _envelope_builder(quantum, scenario)(year, scenario.quantum.at(year))
+    return build(year, scenario.quantum.at(year))[0]
 
 
 def advantage_region(
@@ -416,12 +411,12 @@ def _scan_years(
     classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario, envelopes: dict, views: dict
 ) -> DisruptionResult:
     """The year scan of first_advantage_year.  `envelopes` maps year to
-    envelope for this quantum method and scenario, and `views` year to
-    the scenario's QuantumPlatform.at view; the scan reads both and adds
-    what it builds, so tables that pass one dict per quantum column, and
-    one of views, build each once however many rows scan them."""
+    the envelope builder's (envelope, pieces) for this quantum method and
+    scenario, and `views` year to its QuantumPlatform.at view; the scan
+    reads both and adds what it builds, so tables that share them build
+    and walk each once however many rows scan them."""
     log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
-    build_envelope, law = _envelope_builder(quantum, scenario), quantum.cost_law
+    build_envelope = _envelope_builder(quantum, scenario)
     catches_up = _catches_up(classical, quantum)
     last_block = None
     any_threshold = False
@@ -432,25 +427,25 @@ def _scan_years(
         # The year's trends before the envelope's, in the threshold solve's order.
         hardware.log_rate(hardware.level(0.0))
         c_rate = math.log(classical_throughput(scenario.classical, year))
-        envelope = envelopes.get(year)
-        if envelope is None:
-            envelope = envelopes[year] = build_envelope(year, hardware)
+        if year not in envelopes:
+            envelopes[year] = build_envelope(year, hardware)
+        envelope, pieces = envelopes[year]
         m = envelope.max_feasible_n
-        pieces = _pieces(hardware, log_t, law, m)
         if m >= _SNAP_LIMIT or pieces is None:
             threshold = qea_threshold(classical, quantum, year, scenario)
             exists = threshold is not None
             nonempty = exists and math.ceil(threshold) <= m
-        elif catches_up:  # is the gap <= 0 at an integer end of some piece?
-            exists, nonempty = True, False
-            for lo, hi, level in pieces:
-                q_rate = hardware.log_rate(level)
-                if gap(float(lo), q_rate, c_rate) <= 0 or gap(float(hi), q_rate, c_rate) <= 0:
-                    nonempty = True
-                    break
-        else:
-            exists = gap(1.0, hardware.log_rate(hardware.level(log_t(1.0))), c_rate) <= 0
-            nonempty = exists and m >= 1
+        else:  # is the gap <= 0 at an integer end of some piece, clipped to [1, m]?
+            exists = catches_up or gap(1.0, hardware.log_rate(hardware.level(log_t(1.0))), c_rate) <= 0
+            nonempty = False
+            if exists:
+                for lo, hi, level in pieces:
+                    if lo > m:
+                        break
+                    q_rate = hardware.log_rate(level)
+                    if gap(float(lo), q_rate, c_rate) <= 0 or gap(float(min(hi, m)), q_rate, c_rate) <= 0:
+                        nonempty = True
+                        break
         any_threshold = any_threshold or exists
         if nonempty:
             constraint = "none" if last_block is None else _blocking_constraint(*last_block)

@@ -27,11 +27,12 @@ from .advantage import (
     BEYOND_HORIZON,
     NEVER,
     DisruptionResult,
+    _envelope_builder,
     _scan_years,
-    feasibility_envelope,
     qea_threshold,
 )
 from .catalog import canonical_name
+from .cost import _require_kind
 from .errors import DomainError
 from .scenario import Scenario, Variation, apply_variation, scenario_digest
 
@@ -157,11 +158,13 @@ def qea_curve_series(
         raise DomainError(f"curve would have {steps + 1} points, more than {MAX_CURVE_POINTS}; use a larger step")
     c_spec = scenario.algorithm(classical)
     q_spec = scenario.algorithm(quantum)
+    _require_kind(c_spec, "classical")  # before the quantum kind, as qea_threshold checks them
+    build_envelope = _envelope_builder(q_spec, scenario)
     points = []
     for i in range(steps + 1):
         year = year_from + i * step
         threshold = qea_threshold(c_spec, q_spec, year, scenario)
-        envelope = feasibility_envelope(q_spec, year, scenario)
+        envelope = build_envelope(year, scenario.quantum.at(year))[0]
         points.append(
             CurvePoint(
                 year=year,

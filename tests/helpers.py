@@ -75,9 +75,10 @@ def fused_log_seconds(quantum, scenario, classical, year):
 
 def count_envelopes(monkeypatch):
     """Counter of the envelopes built per (quantum spec, year), through the
-    per-scan envelope builder that the year scan and feasibility_envelope
-    share."""
+    envelope builder that the year scan, the curve, feasibility_envelope
+    and its two size wrappers share."""
     import qea.advantage as advantage
+    import qea.report as report
 
     counts = collections.Counter()
     original = advantage._envelope_builder
@@ -91,5 +92,22 @@ def count_envelopes(monkeypatch):
 
         return envelope
 
-    monkeypatch.setattr(advantage, "_envelope_builder", counting)
+    for module in (advantage, report):
+        monkeypatch.setattr(module, "_envelope_builder", counting)
+    return counts
+
+
+def count_piece_walks(monkeypatch):
+    """Counter of the code-distance piece walks started per (quantum cost
+    law, year), through advantage._pieces."""
+    import qea.advantage as advantage
+
+    counts = collections.Counter()
+    original = advantage._pieces
+
+    def counting(hardware, log_t, law, cap):
+        counts[(law, hardware.year)] += 1
+        return original(hardware, log_t, law, cap)
+
+    monkeypatch.setattr(advantage, "_pieces", counting)
     return counts

@@ -1,30 +1,34 @@
 """Feasibility envelopes: the closed form on each code-distance piece
 against a plain search of the per-N predicates, in both hardware modes,
-and envelope sharing inside tables."""
+and envelope and piece-walk sharing inside tables."""
 
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qea import (
     AlgorithmSpec,
     ComplexityModel,
+    DomainError,
     Variation,
     apply_variation,
     available_logical_qubits,
     default_scenario,
     deadline_limited_size,
     disruption_table,
+    feasibility_envelope,
     first_advantage_year,
     qubit_limited_size,
     robustness_table,
+    scenario_from_dict,
     standard_variations,
 )
-from qea.advantage import SIZE_CAP
-from qea.cost import log_quantum_seconds
+from qea.advantage import SIZE_CAP, _envelope_builder, _pieces
+from qea.cost import _log_seconds_builder, log_quantum_seconds
 from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS
 
-from helpers import count_envelopes, make_scenario
+from helpers import count_envelopes, count_piece_walks, make_scenario
 
 
 def _largest_true(predicate) -> int:
@@ -74,8 +78,7 @@ def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, ye
     return spec, scenario, year
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+CASES = dict(
     qubit_c=st.floats(min_value=-3.0, max_value=4.0),
     qubit_a=exponent,
     cost_c=st.floats(min_value=-3.0, max_value=6.0),
@@ -87,6 +90,10 @@ def _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, ye
     year=st.integers(min_value=2000, max_value=2080),
     error=st.one_of(st.none(), st.floats(min_value=-4.0, max_value=-2.2)),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**CASES)
 # Exponent 0: every size fits (SIZE_CAP) or none does.
 @example(qubit_c=1.0, qubit_a=0.0, cost_c=0.0, cost_a=0.0, physical=5.0, ratio=3.0, tgate=5.0, deadline=6.0,
          year=2025, error=None)
@@ -139,6 +146,49 @@ def test_closed_form_edge_cases_land_where_named():
     assert deadline_limited_size(rushed[0], rushed[2], rushed[1].deadline_s, rushed[1]) == 0
     near_cap = _case(0.0, 1.0, 0.0, 1.0, 14.9, 0.0, 0.0, 17.9, 2024)
     assert 10**14 < qubit_limited_size(near_cap[0], near_cap[2], near_cap[1]) < SIZE_CAP
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CASES)
+# A steep law near the code threshold: hundreds of pieces before SIZE_CAP.
+@example(qubit_c=-3.0, qubit_a=1.0, cost_c=0.0, cost_a=8.0, physical=12.0, ratio=3.0, tgate=10.0, deadline=25.0,
+         year=2030, error=-2.2)
+def test_envelope_pieces_are_the_walk_up_to_its_size(
+    qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year, error
+):
+    """The pieces the envelope walked, clipped to [1, max_feasible_n], are
+    those a walk capped there yields, so the year scan may read them."""
+    spec, scenario, year = _case(qubit_c, qubit_a, cost_c, cost_a, physical, ratio, tgate, deadline, year, error)
+    envelope, pieces = _envelope_builder(spec, scenario)(year, scenario.quantum.at(year))
+    m = envelope.max_feasible_n
+    log_t = _log_seconds_builder(spec, scenario)[0]
+    walk = list(_pieces(scenario.quantum.at(year), log_t, spec.cost_law, m))
+    assert [(lo, min(hi, m), level) for lo, hi, level in pieces if lo <= m] == walk
+
+
+def test_surface_code_table_walks_each_year_once(monkeypatch):
+    """Both limits and every classical row read one walk of the pieces
+    per (quantum method, year)."""
+    s = scenario_from_dict({"quantum": {"mode": "surface-code"}})
+    walks = count_piece_walks(monkeypatch)
+    disruption_table(s, list(QUANTUM_TABLE_METHODS), list(CLASSICAL_TABLE_METHODS))
+    assert walks and max(walks.values()) == 1
+    assert len(walks) <= len(QUANTUM_TABLE_METHODS) * len(s.years())
+
+
+def test_size_wrappers_raise_what_the_envelope_raises():
+    """Each wrapper reads the whole envelope: in 2800 the T-gate trend is
+    past float range, so the qubit limit, which does not read it, fails
+    too."""
+    s = default_scenario()
+    q = s.algorithm("qpe-n3")
+    for size in (
+        lambda: feasibility_envelope(q, 2800, s),
+        lambda: qubit_limited_size(q, 2800, s),
+        lambda: deadline_limited_size(q, 2800, s.deadline_s, s),
+    ):
+        with pytest.raises(DomainError, match=r"trend 100000 x .* passes float range in year 2800"):
+            size()
 
 
 def test_disruption_table_builds_each_envelope_once(monkeypatch):

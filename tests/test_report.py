@@ -22,6 +22,7 @@ from qea import (
     verdict_key,
     verdict_text,
 )
+from qea import report
 from qea.report import MAX_CURVE_POINTS
 
 
@@ -184,6 +185,22 @@ class TestCurveSeries:
         for year_from, year_to in [(math.nan, 2030), (2025, math.inf), (-math.inf, 2030)]:
             with pytest.raises(DomainError):
                 qea_curve_series(s, "CCSD", "qpe-n3", year_from, year_to, 1)
+
+    def test_one_envelope_builder_per_series(self, monkeypatch):
+        builders = []
+        original = report._envelope_builder
+        monkeypatch.setattr(report, "_envelope_builder", lambda q, s: builders.append(q.name) or original(q, s))
+        points = qea_curve_series(default_scenario(), "FCI", "qpe-n3", 2025, 2050, 0.5)
+        assert len(points) == 51 and builders == ["qpe-n3"]
+
+    def test_kinds_checked_classical_first(self):
+        """As qea_threshold checks them: a swapped pair names the classical side."""
+        s = default_scenario()
+        for classical, quantum, named in [("qpe-n3", "FCI", "'qpe-n3' is not a classical"),
+                                          ("qpe-n3", "qpe-n2", "'qpe-n3' is not a classical"),
+                                          ("FCI", "HF", "'HF' is not a quantum")]:
+            with pytest.raises(DomainError, match=named):
+                qea_curve_series(s, classical, quantum, 2025, 2030, 1)
 
     def test_point_count_is_capped(self):
         s = default_scenario()
