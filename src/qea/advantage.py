@@ -17,22 +17,22 @@ fixed level in simple mode.  ln T grows with N, so the sizes split into
 pieces, maximal runs at one level with exact integer ends; simple mode is
 the one-piece case.  On a piece the hardware is constant, so each
 feasible-size limit is a monomial in N, solved in closed form and snapped
-against its fits predicate, and the gap, K + (a_q - a_c) u - e^u
-ln(beta_c / beta_q) in u = ln N, is concave wherever a crossing can
-exist, so it is smallest at an end.  A level step lifts the gap.
+against its fits predicate, and the gap, K + (a_q - a_c) u - e^u ln beta_c
+in u = ln N, is concave for every pair the engine accepts, as it rejects
+(DomainError) quantum cost and qubit laws that are not polynomial.  So
+the gap is smallest at an end of a piece.  A level step lifts the gap.
 
 Hence a size limit lies in the first piece whose end does not fit, and a
 year with feasible size M is advantageous iff some piece, clipped to
 [1, M], has gap <= 0 at an integer end, so one walk of the pieces per
 (quantum method, year) serves both limits and the year scan.  The
 threshold is the first crossing, solved at the level of N = 1 and then
-at the level each root lands on: in closed form for polynomial laws, by
-bisection in ln N otherwise, snapped below _SNAP_LIMIT so its ceiling is
-exactly the smallest advantageous integer.  It is absent iff gap(1) > 0
-and the quantum law grows at least as fast.  The scan solves it where
-M >= _SNAP_LIMIT, past which no snap backs the endpoint test, and for an
-exponential quantum law on surface-code hardware, whose pieces are too
-many to walk and whose limits are searched size by size from N = 1.
+at the level each root lands on: in closed form against a polynomial
+classical law, by bisection in ln N against an exponential one, snapped
+below _SNAP_LIMIT so its ceiling is exactly the smallest advantageous
+integer.  It is absent iff gap(1) > 0 and the quantum law grows at least
+as fast.  The scan solves it where M >= _SNAP_LIMIT, past which no snap
+backs the endpoint test.
 """
 
 from __future__ import annotations
@@ -134,11 +134,16 @@ def _check_year(year: float) -> None:
         raise DomainError(f"year must be finite, got {year!r}")
 
 
+def _require_polynomial(quantum: AlgorithmSpec) -> None:
+    """The engine's rule: a quantum method's cost and qubit laws are polynomial."""
+    for role, law in (("cost", quantum.cost_law), ("qubit", quantum.qubit_law)):
+        if law.exp_base != 1:
+            raise DomainError(f"{quantum.name!r} has an exponential {role} law; quantum laws must be polynomial")
+
+
 def _catches_up(classical: AlgorithmSpec, quantum: AlgorithmSpec) -> bool:
     """Whether the quantum law grows slower, so a gap positive at N = 1 turns."""
-    growth_q, growth_c = math.log(quantum.cost_law.exp_base), math.log(classical.cost_law.exp_base)
-    a_q, a_c = quantum.cost_law.size_exponent, classical.cost_law.size_exponent
-    return not (growth_q > growth_c or (growth_q == growth_c and a_q >= a_c))
+    return classical.cost_law.exp_base > 1 or quantum.cost_law.size_exponent < classical.cost_law.size_exponent
 
 
 def qea_threshold(
@@ -148,6 +153,7 @@ def qea_threshold(
     or None when no such size exists (the quantum law grows at least as
     fast and is costlier per-operation already at N = 1)."""
     log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
+    _require_polynomial(quantum)
     _check_year(year)
     hardware = scenario.quantum.at(year)
     hardware.log_rate(hardware.level(0.0))  # the quantum trends first, as the unfused difference reads them
@@ -192,9 +198,9 @@ def _root(gap, classical: AlgorithmSpec, quantum: AlgorithmSpec) -> float:
     its peak.  A crossing past _N_MAX exists structurally but sits beyond
     any meaningful size; it reads _N_MAX, finite, so a verdict reads
     beyond-horizon rather than never."""
-    growth_q, growth_c = math.log(quantum.cost_law.exp_base), math.log(classical.cost_law.exp_base)
+    growth_c = math.log(classical.cost_law.exp_base)
     a_q, a_c = quantum.cost_law.size_exponent, classical.cost_law.size_exponent
-    if growth_q == growth_c == 0.0:
+    if growth_c == 0.0:
         # gap(N) = gap(1) + (a_q - a_c) ln N, so the root is direct.
         # Capped like the bracket search: a near-tie of the exponents
         # puts the root past float range.
@@ -203,8 +209,8 @@ def _root(gap, classical: AlgorithmSpec, quantum: AlgorithmSpec) -> float:
         # The gap can rise before it falls (a_q > a_c under an
         # exponential classical law); bracket from beyond the peak.
         u_lo = 0.0
-        if a_q > a_c and growth_c > growth_q:
-            u_lo = max(0.0, math.log((a_q - a_c) / (growth_c - growth_q)))
+        if a_q > a_c:
+            u_lo = max(0.0, math.log((a_q - a_c) / growth_c))
         u_hi = max(1.0, u_lo + 1.0)
         while u_hi <= _LOG_N_MAX and gap(math.exp(u_hi)) > 0:
             u_lo = u_hi
@@ -276,12 +282,9 @@ def _pieces(hardware, log_t, law, cap: int):
     """The pieces of [1, cap] for a quantum cost law on one year's
     hardware, in order: (lo, hi, level) for each maximal run of integer
     sizes at one level.  Each hi is exact under the per-N level, snapped
-    from the polynomial law's closed-form estimate.  None for an
-    exponential law on workload-dependent hardware, too many to walk."""
+    from the polynomial law's closed-form estimate."""
     if hardware.fixed_level is not None:
         return ((1, cap, hardware.fixed_level),) if cap >= 1 else ()
-    if law.exp_base != 1:
-        return None
     return _walk(hardware, log_t, law.size_exponent, cap)
 
 
@@ -298,17 +301,16 @@ def _walk(hardware, log_t, exponent: float, cap: int):
 def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
     """(year, that year's QuantumPlatform.at view) -> (its envelope, the
     pieces walked until both limits were found, which cover
-    [1, max_feasible_n]; None where _pieces is None)."""
+    [1, max_feasible_n])."""
     law, qubit_law = quantum.cost_law, quantum.qubit_law
     (log_t, log_seconds), log_deadline = _log_seconds_builder(quantum, scenario), math.log(scenario.deadline_s)
+    _require_polynomial(quantum)
     log_qubit_constant = math.log(qubit_law.constant)
 
     def qubits_at(hardware, level):
-        supply, estimate = hardware.supply(level), 1.0
-        if qubit_law.exp_base == 1:
-            log_room = (math.log(supply) if supply > 0 else -math.inf) - log_qubit_constant
-            estimate = _monomial_size(log_room, qubit_law.size_exponent)
-        return (lambda n: qubit_law.value(n, 1.0) <= supply), estimate
+        supply = hardware.supply(level)
+        log_room = (math.log(supply) if supply > 0 else -math.inf) - log_qubit_constant
+        return (lambda n: qubit_law.value(n, 1.0) <= supply), _monomial_size(log_room, qubit_law.size_exponent)
 
     def deadline_at(hardware, level):
         q_rate = hardware.log_rate(level)
@@ -319,24 +321,18 @@ def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
     limits_at = (qubits_at, deadline_at)
 
     def envelope(year: float, hardware):
-        pieces = _pieces(hardware, log_t, law, SIZE_CAP)
-        if pieces is None:  # each N at its own level, searched from 1
-            limits = [
-                _snap_largest(lambda n: at(hardware, hardware.level(log_t(float(n))))[0](n), 1.0) for at in limits_at
-            ]
-        else:  # each limit in the first piece whose end does not fit
-            walked, limits, pieces = [], [None, None], iter(pieces)
-            while None in limits:
-                walked.append(next(pieces))
-                lo, hi, level = walked[-1]
-                for i in 0, 1:
-                    if limits[i] is None:
-                        fits, estimate = limits_at[i](hardware, level)
-                        if hi == SIZE_CAP or not fits(hi):
-                            limits[i] = max(lo - 1, _snap_largest(fits, estimate))
-            pieces = walked
+        # Each limit lies in the first piece whose end does not fit.
+        walked, limits, pieces = [], [None, None], iter(_pieces(hardware, log_t, law, SIZE_CAP))
+        while None in limits:
+            walked.append(next(pieces))
+            lo, hi, level = walked[-1]
+            for i in 0, 1:
+                if limits[i] is None:
+                    fits, estimate = limits_at[i](hardware, level)
+                    if hi == SIZE_CAP or not fits(hi):
+                        limits[i] = max(lo - 1, _snap_largest(fits, estimate))
         qubit_n, deadline_n = limits
-        return FeasibilityEnvelope(year, qubit_n, deadline_n, min(qubit_n, deadline_n)), pieces
+        return FeasibilityEnvelope(year, qubit_n, deadline_n, min(qubit_n, deadline_n)), walked
 
     return envelope
 
@@ -431,7 +427,7 @@ def _scan_years(
             envelopes[year] = build_envelope(year, hardware)
         envelope, pieces = envelopes[year]
         m = envelope.max_feasible_n
-        if m >= _SNAP_LIMIT or pieces is None:
+        if m >= _SNAP_LIMIT:
             threshold = qea_threshold(classical, quantum, year, scenario)
             exists = threshold is not None
             nonempty = exists and math.ceil(threshold) <= m

@@ -13,6 +13,7 @@ molecular composition to N and back.  Two tables ship built in:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UnknownMethodError
@@ -117,8 +118,11 @@ def orbital_to_atom_ratio(molecule: MoleculeSpec, heuristic: BasisHeuristic) -> 
 
 def atoms_from_basis_functions(n: float, ratio: float) -> float:
     """Invert the ratio: atoms implied by n basis functions."""
-    if not ratio > 0:
-        raise DomainError(f"ratio must be > 0, got {ratio}")
-    if not n > 0:
-        raise DomainError(f"n must be > 0, got {n}")
-    return n / ratio
+    if not 0 < ratio < math.inf:
+        raise DomainError(f"ratio must be finite and > 0, got {ratio}")
+    if not 0 < n < math.inf:
+        raise DomainError(f"n must be finite and > 0, got {n}")
+    atoms = n / ratio
+    if atoms == math.inf:
+        raise DomainError(f"{n} basis functions at ratio {ratio} is past float range")
+    return atoms

@@ -38,6 +38,7 @@ from .advantage import feasibility_envelope, qea_threshold
 from .errors import CalibrationError, DomainError, QeaError
 from .report import (
     _csv_rows,
+    _digest_line,
     _text_number,
     curve_csv,
     curve_text,
@@ -54,7 +55,6 @@ from .scenario import (
     default_scenario,
     dump_scenario,
     load_scenario,
-    scenario_digest,
     standard_variations,
 )
 
@@ -311,7 +311,7 @@ def calibrate_cmd(scenario_path, anchors, free_params, prefers, out):
     calibrated = run_calibration(
         base, list(free_params), parsed, prefer=list(prefers) or None
     )
-    click.echo(f"# scenario sha256={scenario_digest(calibrated)}", err=True)
+    click.echo(_digest_line(calibrated, ""), err=True)
     _emit(dump_scenario(calibrated), out)
 
 

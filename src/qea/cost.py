@@ -135,6 +135,18 @@ def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: 
     return log_t, gap
 
 
+def _finite(value_of, *args: float) -> float:
+    """value_of(*args) for the estimators below: a non-finite argument, an
+    overflow on the way or a non-finite result is a DomainError."""
+    try:
+        value = value_of(*args) if all(map(math.isfinite, args)) else math.nan
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("arguments and result must be finite numbers")
+    return value
+
+
 def flop_adjusted_constant(runtime_s: float, peak_flops: float, n: int, exponent: float) -> float:
     """Algorithmic constant implied by a benchmark: T * P / N^p.
 
@@ -143,7 +155,7 @@ def flop_adjusted_constant(runtime_s: float, peak_flops: float, n: int, exponent
     """
     if not (runtime_s > 0 and peak_flops > 0 and n > 0 and exponent > 0):
         raise DomainError("all arguments must be positive")
-    return runtime_s * peak_flops / float(n) ** exponent
+    return _finite(lambda t, p, n, a: t * p / float(n) ** a, runtime_s, peak_flops, n, exponent)
 
 
 def naive_t_gate_estimate(n: int, exponent: float, epsilon: float) -> float:
@@ -152,7 +164,7 @@ def naive_t_gate_estimate(n: int, exponent: float, epsilon: float) -> float:
         raise DomainError("n and exponent must be positive")
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
-    return float(n) ** exponent / epsilon
+    return _finite(lambda n, a, eps: float(n) ** a / eps, n, exponent, epsilon)
 
 
 def overhead_ratio(scenario: Scenario, year: float) -> float:

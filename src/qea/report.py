@@ -151,11 +151,12 @@ def qea_curve_series(
         raise DomainError("year_from and year_to must be finite")
     if year_from > year_to:
         raise DomainError("year_from must be <= year_to")
-    if not step > 0:
-        raise DomainError("step must be > 0")
-    steps = math.floor((year_to - year_from) / step + 1e-9)
-    if steps + 1 > MAX_CURVE_POINTS:
-        raise DomainError(f"curve would have {steps + 1} points, more than {MAX_CURVE_POINTS}; use a larger step")
+    if not 0 < step < math.inf:
+        raise DomainError("step must be finite and > 0")
+    span = (year_to - year_from) / step + 1e-9  # inf past float range, so compared before the floor
+    if not span < MAX_CURVE_POINTS:
+        raise DomainError(f"curve would have more than {MAX_CURVE_POINTS} points; use a larger step")
+    steps = math.floor(span)
     c_spec = scenario.algorithm(classical)
     q_spec = scenario.algorithm(quantum)
     _require_kind(c_spec, "classical")  # before the quantum kind, as qea_threshold checks them

@@ -530,6 +530,8 @@ def calibrate(
     for p in prefer:
         if p not in ("low", "high", "mid"):
             raise DomainError(f"prefer entries must be low|high|mid, got {p!r}")
+    for path in free_params:  # every path, even where no step runs
+        _split_param_path(path)
 
     specs = [(base.algorithm(a[0]), base.algorithm(a[1])) for a in anchors]
 

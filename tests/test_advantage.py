@@ -23,6 +23,8 @@ from qea import (
     Variation,
 )
 
+from qea.cost import log_classical_seconds, log_quantum_seconds
+
 from helpers import make_scenario, with_tuning
 
 
@@ -279,3 +281,56 @@ class TestFirstAdvantageYear:
                         assert key >= base
                     else:
                         assert key <= base
+
+
+def _exponential_quantum(law: str) -> AlgorithmSpec:
+    """qpe-n3's shape with one law made exponential (exp_base 1.001)."""
+    laws = {"cost": ComplexityModel(1.0, 3.0, 1.0), "qubit": ComplexityModel(10.0, 1.0)}
+    laws[law] = dataclasses.replace(laws[law], exp_base=1.001)
+    return AlgorithmSpec("qx", "quantum", cost_law=laws["cost"], qubit_law=laws["qubit"])
+
+
+ENGINE_ENTRIES = {
+    "qea_threshold": lambda c, q, s: qea_threshold(c, q, 2040, s),
+    "feasibility_envelope": lambda c, q, s: feasibility_envelope(q, 2040, s),
+    "qubit_limited_size": lambda c, q, s: qubit_limited_size(q, 2040, s),
+    "deadline_limited_size": lambda c, q, s: deadline_limited_size(q, 2040, s.deadline_s, s),
+    "advantage_region": lambda c, q, s: advantage_region(c, q, 2040, s),
+    "first_advantage_year": lambda c, q, s: first_advantage_year(c, q, s),
+}
+
+
+class TestPolynomialQuantumLaws:
+    """The engine takes quantum methods whose cost and qubit laws are
+    polynomial: its gap is then concave in ln N, which the year scan and
+    the threshold solver rest on."""
+
+    @pytest.mark.parametrize("mode", ["simple", "surface-code"])
+    @pytest.mark.parametrize("law", ["cost", "qubit"])
+    @pytest.mark.parametrize("entry", ENGINE_ENTRIES)
+    def test_every_entry_rejects_an_exponential_law(self, entry, law, mode):
+        s = make_scenario(mode=mode)
+        with pytest.raises(DomainError, match=f"'qx' has an exponential {law} law"):
+            ENGINE_ENTRIES[entry](s.algorithm("CCSD(T)"), _exponential_quantum(law), s)
+
+    def test_convex_gap_example(self):
+        """Against CCSD(T) an exponential quantum law makes the gap convex in
+        ln N: it dips below 0 between two positive ends.  The endpoint scan
+        read `never` here, though the unfused runtimes find advantageous
+        sizes inside the envelope in 2040 (N 1417 to 7067, where the
+        deadline binds)."""
+        s = default_scenario()
+        qx, ccsdt = _exponential_quantum("cost"), s.algorithm("CCSD(T)")
+        gap = lambda n: log_quantum_seconds(qx, n, 2040, s) - log_classical_seconds(ccsdt, n, 2040, s)  # noqa: E731
+        assert gap(1) > 0 and gap(10**4) > 0  # both ends of a window past the envelope
+        assert gap(1416) > 0 >= gap(1417) and gap(7067) <= 0
+        with pytest.raises(DomainError, match="polynomial"):
+            first_advantage_year(ccsdt, qx, s)
+
+    @pytest.mark.parametrize("entry", ENGINE_ENTRIES)
+    def test_kind_is_checked_before_the_laws(self, entry):
+        """FCI's cost law is exponential, but passed as the quantum method
+        it is named for its kind."""
+        s = default_scenario()
+        with pytest.raises(DomainError, match="'FCI' is not a quantum method"):
+            ENGINE_ENTRIES[entry](s.algorithm("CCSD"), s.algorithm("FCI"), s)

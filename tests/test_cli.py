@@ -157,9 +157,11 @@ class TestCurveAndRobustness:
         assert out == "" and "finite" in err
 
     def test_curve_too_many_points_exit_3(self, capsys):
-        code, out, err = run(capsys, "curve", "--classical", "FCI", "--quantum", "qpe-n3", "--step", "1e-7")
-        assert code == 3
-        assert out == "" and "points" in err
+        # The second span overflows to inf, which the point count once floored.
+        for span in [["--step", "1e-7"], ["--from", "-1e308", "--to", "1e308", "--step", "1e308"]]:
+            code, out, err = run(capsys, "curve", "--classical", "FCI", "--quantum", "qpe-n3", *span)
+            assert code == 3
+            assert out == "" and "points" in err
 
 
 class TestConvert:
@@ -378,6 +380,14 @@ class TestCalibrateCommand:
         calibrated = scenario_from_dict(json.loads(out))
         assert calibrated.classical.flops_per_dollar_second.annual_factor == 1.930999755859375
 
+    @pytest.mark.parametrize("year", ["2032", "2031"])
+    def test_bad_free_path_exit_3_whether_or_not_the_anchor_holds(self, capsys, year):
+        # The default scenario already holds FCI:qpe-n3:2032, so no step
+        # runs; the path is checked all the same.
+        code, out, err = run(capsys, "calibrate", "--anchor", f"FCI:qpe-n3:{year}", "--free", "epsilon")
+        assert code == 3
+        assert out == "" and "unsupported parameter path 'epsilon'" in err
+
     def test_infeasible_exit_4(self, capsys):
         code, _, err = run(
             capsys, "calibrate",
@@ -386,3 +396,43 @@ class TestCalibrateCommand:
         )
         assert code == 4
         assert "DFT:qpe-n3:2030" in err
+
+
+# Each argv ended in a traceback (exit 1), or printed inf or nan with
+# exit 0.  A non-finite flag value, intermediate or result is a
+# validation error.
+MENDED_ARGV = [
+    ["curve", "--classical", "FCI", "--quantum", "qpe-n3", "--from", "-1e308", "--to", "1e308", "--step", "1e308"],
+    ["curve", "--classical", "FCI", "--quantum", "qpe-n3", "--from", "-1e308", "--to", "1e308", "--step", "inf"],
+    ["curve", "--classical", "FCI", "--quantum", "qpe-n3", "--from", "2025", "--to", "2030", "--step", "inf"],
+    ["tgates", "--n", "10", "--exponent", "1e308"],
+    ["tgates", "--n", "10", "--exponent", "1", "--epsilon", "1e-320"],
+    ["tgates", "--n", "1" + "0" * 400, "--exponent", "0.5"],
+    ["constant", "--time-s", "1", "--peak-flops", "1", "--n", "2", "--exponent", "1e308"],
+    ["constant", "--time-s", "inf", "--peak-flops", "1", "--n", "2", "--exponent", "3"],
+    ["constant", "--time-s", "1e200", "--peak-flops", "1e200", "--n", "2", "--exponent", "1"],
+    ["convert", "--basis-functions", "1e308", "--ratio", "1e-308"],
+    ["convert", "--basis-functions", "inf", "--ratio", "2"],
+    ["calibrate", "--anchor", "FCI:qpe-n3:2032", "--free", "epsilon"],
+    ["calibrate", "--anchor", "FCI:qpe-n3:2031", "--free", "epsilon"],
+]
+
+
+@pytest.mark.parametrize("argv", MENDED_ARGV, ids=lambda argv: " ".join(a if len(a) < 20 else "1e400" for a in argv))
+def test_mended_argv_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith(("error: ", "warning: ")) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "--quantum", "FCI", "--year", "2030"],
+    ["curve", "--classical", "CCSD", "--quantum", "FCI"],
+    ["threshold", "--classical", "CCSD", "--quantum", "FCI", "--year", "2030"],
+    ["table", "--classical", "CCSD", "--quantum", "FCI"],
+])
+def test_classical_method_as_quantum_names_its_kind(capsys, argv):
+    """FCI's cost law is exponential; its kind is what the error names."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and "'FCI' is not a quantum method" in err

@@ -123,6 +123,20 @@ class TestEstimators:
         for p in (1, 3, 5.5):
             assert naive_t_gate_estimate(1, p, 1.0) == 1.0
 
+    @pytest.mark.parametrize("call", [
+        lambda: naive_t_gate_estimate(10, 1e308, 1e-3),  # N^p past float range
+        lambda: naive_t_gate_estimate(10, 1, 1e-320),  # result past float range
+        lambda: naive_t_gate_estimate(10**400, 0.5, 1e-3),  # N past float range
+        lambda: naive_t_gate_estimate(10, math.inf, 1e-3),
+        lambda: flop_adjusted_constant(1, 1, 2, 1e308),
+        lambda: flop_adjusted_constant(math.inf, 1, 2, 3),
+        lambda: flop_adjusted_constant(1, 1, 1, math.inf),  # 1^inf is 1, but the input is not finite
+        lambda: flop_adjusted_constant(1e200, 1e200, 2, 1),
+    ])
+    def test_non_finite_argument_or_result_rejected(self, call):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
     def test_naive_t_gates_cubic_54(self):
         # 54^3 * 1e3; the formula as written, documented against the
         # published 2.0e7 figure which matches 27^3 * 1e3 instead.

@@ -208,3 +208,10 @@ class TestCurveSeries:
             qea_curve_series(s, "FCI", "qpe-n3", 2025, 2050, 1e-7)
         with pytest.raises(DomainError, match="points"):
             qea_curve_series(s, "FCI", "qpe-n3", 0, MAX_CURVE_POINTS, 1)
+        # (year_to - year_from) / step is inf: counted before it is floored.
+        with pytest.raises(DomainError, match="points"):
+            qea_curve_series(s, "FCI", "qpe-n3", -1e308, 1e308, 1e308)
+        # An infinite step once made a row at year nan.
+        for year_from, year_to in [(-1e308, 1e308), (2025, 2030)]:
+            with pytest.raises(DomainError, match="step must be finite"):
+                qea_curve_series(s, "FCI", "qpe-n3", year_from, year_to, math.inf)

@@ -307,6 +307,13 @@ class TestCalibrate:
         with pytest.raises(DomainError):
             calibrate(default_scenario(), ["quantum.ratio_trend.annual_factor"], [])
 
+    @pytest.mark.parametrize("year", [2032, 2031])
+    def test_bad_path_rejected_before_the_first_pass(self, year):
+        """The default scenario holds FCI:qpe-n3:2032, so no coordinate step
+        would ever read the path."""
+        with pytest.raises(ScenarioError, match="unsupported parameter path 'epsilon'"):
+            calibrate(default_scenario(), ["epsilon"], [("FCI", "qpe-n3", year)])
+
     def test_bad_prefer(self):
         with pytest.raises(DomainError):
             calibrate(
