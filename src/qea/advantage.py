@@ -32,7 +32,8 @@ classical law, by bisection in ln N against an exponential one, snapped
 below _SNAP_LIMIT so its ceiling is exactly the smallest advantageous
 integer.  It is absent iff gap(1) > 0 and the quantum law grows at least
 as fast.  The scan solves it where M >= _SNAP_LIMIT, past which no snap
-backs the endpoint test.
+backs the endpoint test.  The curve and advantage_region read a pair's
+year as one point (_points): the threshold, then the envelope, on one view.
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ class AdvantageRegion:
 
 
 @dataclass(frozen=True)
+class CurvePoint:
+    year: float
+    threshold_n: float | None
+    qubit_limited_n: int
+    deadline_limited_n: int
+    max_feasible_n: int
+    region_nonempty: bool
+
+
+@dataclass(frozen=True)
 class DisruptionResult:
     """First-advantage verdict: a year, "beyond-horizon", or "never",
     plus which constraint blocked advantage in the last blocked year
@@ -127,11 +138,6 @@ def verdict_key(result: DisruptionResult, horizon: int) -> float:
     if result.verdict == BEYOND_HORIZON:
         return float(horizon) + 1.0
     return float(result.verdict)
-
-
-def _check_year(year: float) -> None:
-    if not math.isfinite(year):
-        raise DomainError(f"year must be finite, got {year!r}")
 
 
 def _require_polynomial(quantum: AlgorithmSpec) -> None:
@@ -154,10 +160,14 @@ def qea_threshold(
     fast and is costlier per-operation already at N = 1)."""
     log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
     _require_polynomial(quantum)
-    _check_year(year)
-    hardware = scenario.quantum.at(year)
+    return _threshold(log_t, gap, classical, quantum, scenario, scenario.quantum.at(year))
+
+
+def _threshold(log_t, gap, classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario, hardware):
+    """qea_threshold on the pair's _log_seconds_builder closures and a
+    year's QuantumPlatform.at view."""
     hardware.log_rate(hardware.level(0.0))  # the quantum trends first, as the unfused difference reads them
-    c_rate = math.log(classical_throughput(scenario.classical, year))
+    c_rate = math.log(classical_throughput(scenario.classical, hardware.year))
 
     def per_n(n: float) -> float:
         return gap(n, hardware.log_rate(hardware.level(log_t(n))), c_rate)
@@ -359,25 +369,37 @@ def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario
     """Both size limits for one quantum method in one year, each solved
     in closed form on a code-distance piece and snapped against its fits
     predicate."""
-    build = _envelope_builder(quantum, scenario)  # checks the kind
-    _check_year(year)
-    return build(year, scenario.quantum.at(year))[0]
+    return _envelope_builder(quantum, scenario)(year, scenario.quantum.at(year))[0]
+
+
+def _points(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
+    """year -> CurvePoint for one pair: the threshold solve, then the
+    envelope, on one view of the year."""
+    log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
+    build_envelope = _envelope_builder(quantum, scenario)  # checks the laws are polynomial
+
+    def point(year: float) -> CurvePoint:
+        hardware = scenario.quantum.at(year)
+        threshold = _threshold(log_t, gap, classical, quantum, scenario, hardware)
+        envelope = build_envelope(year, hardware)[0]
+        return CurvePoint(
+            year=year,
+            threshold_n=threshold,
+            qubit_limited_n=envelope.qubit_limited_n,
+            deadline_limited_n=envelope.deadline_limited_n,
+            max_feasible_n=envelope.max_feasible_n,
+            region_nonempty=threshold is not None and math.ceil(threshold) <= envelope.max_feasible_n,
+        )
+
+    return point
 
 
 def advantage_region(
     classical: AlgorithmSpec, quantum: AlgorithmSpec, year: float, scenario: Scenario
 ) -> AdvantageRegion:
-    threshold = qea_threshold(classical, quantum, year, scenario)
-    envelope = feasibility_envelope(quantum, year, scenario)
-    min_adv = None if threshold is None else math.ceil(threshold)
-    nonempty = min_adv is not None and min_adv <= envelope.max_feasible_n
-    return AdvantageRegion(
-        year=year,
-        threshold_n=threshold,
-        min_advantageous_n=min_adv,
-        max_feasible_n=envelope.max_feasible_n,
-        nonempty=nonempty,
-    )
+    p = _points(classical, quantum, scenario)(year)
+    min_adv = None if p.threshold_n is None else math.ceil(p.threshold_n)
+    return AdvantageRegion(year, p.threshold_n, min_adv, p.max_feasible_n, p.region_nonempty)
 
 
 def _blocking_constraint(threshold_exists: bool, envelope: FeasibilityEnvelope) -> str:
@@ -428,7 +450,7 @@ def _scan_years(
         envelope, pieces = envelopes[year]
         m = envelope.max_feasible_n
         if m >= _SNAP_LIMIT:
-            threshold = qea_threshold(classical, quantum, year, scenario)
+            threshold = _threshold(log_t, gap, classical, quantum, scenario, hardware)
             exists = threshold is not None
             nonempty = exists and math.ceil(threshold) <= m
         else:  # is the gap <= 0 at an integer end of some piece, clipped to [1, m]?

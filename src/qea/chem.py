@@ -123,6 +123,6 @@ def atoms_from_basis_functions(n: float, ratio: float) -> float:
     if not 0 < n < math.inf:
         raise DomainError(f"n must be finite and > 0, got {n}")
     atoms = n / ratio
-    if atoms == math.inf:
+    if not 0 < atoms < math.inf:
         raise DomainError(f"{n} basis functions at ratio {ratio} is past float range")
     return atoms

@@ -137,13 +137,14 @@ def _log_seconds_builder(quantum: AlgorithmSpec, scenario: Scenario, classical: 
 
 def _finite(value_of, *args: float) -> float:
     """value_of(*args) for the estimators below: a non-finite argument, an
-    overflow on the way or a non-finite result is a DomainError."""
+    overflow on the way or a result that is not finite and > 0 (one that
+    underflows to 0) is a DomainError."""
     try:
         value = value_of(*args) if all(map(math.isfinite, args)) else math.nan
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise DomainError("arguments and result must be finite numbers")
+    if not 0 < value < math.inf:
+        raise DomainError("arguments must be finite numbers and the result finite and > 0")
     return value
 
 

@@ -91,8 +91,10 @@ class ExponentialTrend:
             raise DomainError(f"annual_factor must be finite and > 0, got {self.annual_factor}")
 
     def value(self, year: float) -> float:
-        """The trend at `year`; DomainError where it passes float range,
-        above (overflow) or below (underflow to 0)."""
+        """The trend at `year`; DomainError where the year is not finite or
+        the trend passes float range, above (overflow) or below (underflow to 0)."""
+        if not math.isfinite(year):
+            raise DomainError(f"year must be finite, got {year!r}")
         try:
             value = self.base_value * self.annual_factor ** (year - self.base_year)
         except OverflowError:

@@ -23,16 +23,8 @@ import io
 import math
 from dataclasses import dataclass
 
-from .advantage import (
-    BEYOND_HORIZON,
-    NEVER,
-    DisruptionResult,
-    _envelope_builder,
-    _scan_years,
-    qea_threshold,
-)
+from .advantage import BEYOND_HORIZON, NEVER, CurvePoint, DisruptionResult, _points, _scan_years
 from .catalog import canonical_name
-from .cost import _require_kind
 from .errors import DomainError
 from .scenario import Scenario, Variation, apply_variation, scenario_digest
 
@@ -70,16 +62,6 @@ class RobustnessTable:
     columns: tuple[str, ...]  # baseline first, then one per variation
     cells: dict[tuple[str, str], DisruptionResult]  # (classical, column)
     scenario: Scenario
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    year: float
-    threshold_n: float | None
-    qubit_limited_n: int
-    deadline_limited_n: int
-    max_feasible_n: int
-    region_nonempty: bool
 
 
 def verdict_text(result: DisruptionResult, horizon: int) -> str:
@@ -156,27 +138,8 @@ def qea_curve_series(
     span = (year_to - year_from) / step + 1e-9  # inf past float range, so compared before the floor
     if not span < MAX_CURVE_POINTS:
         raise DomainError(f"curve would have more than {MAX_CURVE_POINTS} points; use a larger step")
-    steps = math.floor(span)
-    c_spec = scenario.algorithm(classical)
-    q_spec = scenario.algorithm(quantum)
-    _require_kind(c_spec, "classical")  # before the quantum kind, as qea_threshold checks them
-    build_envelope = _envelope_builder(q_spec, scenario)
-    points = []
-    for i in range(steps + 1):
-        year = year_from + i * step
-        threshold = qea_threshold(c_spec, q_spec, year, scenario)
-        envelope = build_envelope(year, scenario.quantum.at(year))[0]
-        points.append(
-            CurvePoint(
-                year=year,
-                threshold_n=threshold,
-                qubit_limited_n=envelope.qubit_limited_n,
-                deadline_limited_n=envelope.deadline_limited_n,
-                max_feasible_n=envelope.max_feasible_n,
-                region_nonempty=threshold is not None and math.ceil(threshold) <= envelope.max_feasible_n,
-            )
-        )
-    return points
+    point = _points(scenario.algorithm(classical), scenario.algorithm(quantum), scenario)
+    return [point(year_from + i * step) for i in range(math.floor(span) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,9 @@ def calibrate(
             raise DomainError(f"prefer entries must be low|high|mid, got {p!r}")
     for path in free_params:  # every path, even where no step runs
         _split_param_path(path)
+    for classical, quantum, year in anchors:
+        if abs(year) > sys.float_info.max:  # exact for integers, where float(year) would overflow
+            raise DomainError(f"anchor year of {classical}:{quantum} is past float range")
 
     specs = [(base.algorithm(a[0]), base.algorithm(a[1])) for a in anchors]
 

@@ -78,7 +78,6 @@ def count_envelopes(monkeypatch):
     envelope builder that the year scan, the curve, feasibility_envelope
     and its two size wrappers share."""
     import qea.advantage as advantage
-    import qea.report as report
 
     counts = collections.Counter()
     original = advantage._envelope_builder
@@ -92,8 +91,7 @@ def count_envelopes(monkeypatch):
 
         return envelope
 
-    for module in (advantage, report):
-        monkeypatch.setattr(module, "_envelope_builder", counting)
+    monkeypatch.setattr(advantage, "_envelope_builder", counting)
     return counts
 
 

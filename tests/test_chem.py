@@ -106,6 +106,6 @@ def test_builtins_and_validation():
         MoleculeSpec(composition={})
     with pytest.raises(DomainError):
         atoms_from_basis_functions(302, 0.0)
-    for n, ratio in [(1e308, 1e-308), (math.inf, 2.0), (302, math.inf)]:
+    for n, ratio in [(1e308, 1e-308), (1e-300, 1e300), (math.inf, 2.0), (302, math.inf)]:
         with pytest.raises(DomainError, match="finite|float range"):
             atoms_from_basis_functions(n, ratio)

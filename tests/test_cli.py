@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -413,16 +414,42 @@ MENDED_ARGV = [
     ["constant", "--time-s", "1e200", "--peak-flops", "1e200", "--n", "2", "--exponent", "1"],
     ["convert", "--basis-functions", "1e308", "--ratio", "1e-308"],
     ["convert", "--basis-functions", "inf", "--ratio", "2"],
+    ["constant", "--time-s", "1e-200", "--peak-flops", "1e-200", "--n", "2", "--exponent", "1"],
+    ["convert", "--basis-functions", "1e-300", "--ratio", "1e300"],
+    ["calibrate", "--anchor", "FCI:qpe-n3:1" + "0" * 400, "--free", "quantum.logical_tgate_trend.annual_factor"],
+    ["calibrate", "--anchor", "FCI:qpe-n3:-1" + "0" * 400, "--free", "quantum.logical_tgate_trend.annual_factor"],
     ["calibrate", "--anchor", "FCI:qpe-n3:2032", "--free", "epsilon"],
     ["calibrate", "--anchor", "FCI:qpe-n3:2031", "--free", "epsilon"],
 ]
 
 
-@pytest.mark.parametrize("argv", MENDED_ARGV, ids=lambda argv: " ".join(a if len(a) < 20 else "1e400" for a in argv))
+def _argv_id(argv):
+    """The argv, each 1 followed by 19 or more zeros written as 1eK."""
+    return re.sub(r"1(0{19,})", lambda m: f"1e{len(m.group(1))}", " ".join(argv))
+
+
+@pytest.mark.parametrize("argv", MENDED_ARGV, ids=_argv_id)
 def test_mended_argv_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and err.startswith(("error: ", "warning: ")) and "Traceback" not in err
+
+
+FREE_TGATE = "quantum.logical_tgate_trend.annual_factor"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["robustness", "--vary", "logical"], "bad --vary 'logical', expected key=multiplier"),
+    (["robustness", "--vary", "logical=lots"], "bad multiplier in --vary 'logical=lots'"),
+    (["calibrate", "--anchor", "FCI:qpe-n3", "--free", FREE_TGATE], "expected CLASSICAL:QUANTUM:YEAR"),
+    (["calibrate", "--anchor", "FCI:qpe-n3:2031.5", "--free", FREE_TGATE], "bad anchor year in 'FCI:qpe-n3:2031.5'"),
+    (["convert", "--molecule", "C:1,H:4"], "--molecule needs --heuristic"),
+    (["convert", "--basis-functions", "302"], "--basis-functions needs --ratio"),
+])
+def test_malformed_option_value_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

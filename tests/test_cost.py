@@ -6,12 +6,16 @@ import pytest
 
 from qea import (
     DomainError,
+    available_logical_qubits,
     classical_runtime,
+    classical_throughput,
     default_scenario,
     flop_adjusted_constant,
     naive_t_gate_estimate,
     overhead_ratio,
+    quantum_logical_throughput,
     quantum_runtime,
+    trend_value,
 )
 from qea.cost import log_classical_seconds, log_quantum_seconds
 
@@ -132,6 +136,7 @@ class TestEstimators:
         lambda: flop_adjusted_constant(math.inf, 1, 2, 3),
         lambda: flop_adjusted_constant(1, 1, 1, math.inf),  # 1^inf is 1, but the input is not finite
         lambda: flop_adjusted_constant(1e200, 1e200, 2, 1),
+        lambda: flop_adjusted_constant(1e-200, 1e-200, 2, 1),  # result underflows to 0
     ])
     def test_non_finite_argument_or_result_rejected(self, call):
         with pytest.raises(DomainError, match="finite"):
@@ -181,3 +186,33 @@ class TestOverheadRatio:
                     / classical_runtime(scaled.algorithm(c_name), n, 2030, scaled).seconds
                 )
                 assert ratio_scaled == pytest.approx(ratio, rel=1e-12)
+
+
+# Every library function that reads a hardware trend at a year.
+TREND_READERS = {
+    "trend_value": lambda s, y: trend_value(s.classical.flops_per_dollar_second, y),
+    "classical_throughput": lambda s, y: classical_throughput(s.classical, y),
+    "quantum_logical_throughput": lambda s, y: quantum_logical_throughput(s.quantum, y, 1e10),
+    "available_logical_qubits": lambda s, y: available_logical_qubits(s.quantum, y, 1e10),
+    "overhead_ratio": lambda s, y: overhead_ratio(s, y),
+    "classical_runtime": lambda s, y: classical_runtime(s.algorithm("CCSD"), 10, y, s),
+    "quantum_runtime": lambda s, y: quantum_runtime(s.algorithm("qpe-n3"), 10, y, s),
+    "log_classical_seconds": lambda s, y: log_classical_seconds(s.algorithm("CCSD"), 10.0, y, s),
+    "log_quantum_seconds": lambda s, y: log_quantum_seconds(s.algorithm("qpe-n3"), 10.0, y, s),
+}
+
+
+@pytest.mark.parametrize("mode", ["simple", "surface-code"])
+@pytest.mark.parametrize("flat", [False, True], ids=["growing", "flat"])
+@pytest.mark.parametrize("reader", sorted(TREND_READERS))
+def test_trend_readers_reject_a_non_finite_year(reader, flat, mode):
+    """A NaN year once read as NaN, and a flat trend at inf as its base
+    value (1.0 ** inf is 1.0)."""
+    if flat:
+        s = make_scenario(classical=(2025, 1e18, 1.0), tgate=(2025, 1e5, 1.0), physical=(2024, 1.1e3, 1.0),
+                          error=(2025, 1e-3, 1.0), mode=mode)
+    else:
+        s = make_scenario(tgate=(2025, 1e5, 2.5), physical=(2024, 1.1e3, 2.4), mode=mode)
+    for year in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"year must be finite, got {year!r}"):
+            TREND_READERS[reader](s, year)

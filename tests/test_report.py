@@ -1,11 +1,13 @@
 """Table assembly, curve series, and deterministic rendering."""
 
+import collections
 import math
 
 import pytest
 
 from qea import (
     DomainError,
+    QuantumPlatform,
     Scenario,
     UnknownMethodError,
     Variation,
@@ -22,7 +24,7 @@ from qea import (
     verdict_key,
     verdict_text,
 )
-from qea import report
+from qea import advantage
 from qea.report import MAX_CURVE_POINTS
 
 
@@ -188,10 +190,28 @@ class TestCurveSeries:
 
     def test_one_envelope_builder_per_series(self, monkeypatch):
         builders = []
-        original = report._envelope_builder
-        monkeypatch.setattr(report, "_envelope_builder", lambda q, s: builders.append(q.name) or original(q, s))
+        original = advantage._envelope_builder
+        monkeypatch.setattr(advantage, "_envelope_builder", lambda q, s: builders.append(q.name) or original(q, s))
         points = qea_curve_series(default_scenario(), "FCI", "qpe-n3", 2025, 2050, 0.5)
         assert len(points) == 51 and builders == ["qpe-n3"]
+
+    def test_one_pair_builder_and_one_view_per_row(self, monkeypatch):
+        """Each row's threshold solve and envelope share the row's view."""
+        calls = collections.Counter()
+        builder, at = advantage._log_seconds_builder, QuantumPlatform.at
+
+        def counting_builder(quantum, scenario, classical=None):
+            calls["pair builder"] += classical is not None
+            return builder(quantum, scenario, classical)
+
+        def counting_at(platform, year):
+            calls["view"] += 1
+            return at(platform, year)
+
+        monkeypatch.setattr(advantage, "_log_seconds_builder", counting_builder)
+        monkeypatch.setattr(QuantumPlatform, "at", counting_at)
+        points = qea_curve_series(default_scenario(), "FCI", "qpe-n3", 2025, 2050, 1)
+        assert len(points) == 26 and calls == {"pair builder": 1, "view": 26}
 
     def test_kinds_checked_classical_first(self):
         """As qea_threshold checks them: a swapped pair names the classical side."""

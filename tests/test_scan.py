@@ -219,13 +219,13 @@ def test_feasible_size_past_snap_limit_asks_the_solver(monkeypatch, classical, c
     qpe = s.algorithm("qpe-n3")
     assert feasibility_envelope(qpe, s.start_year, s).max_feasible_n >= 1e9
     calls = collections.Counter()
-    original = advantage.qea_threshold
+    original = advantage._threshold
 
     def counting(*args):
         calls["solve"] += 1
         return original(*args)
 
-    monkeypatch.setattr(advantage, "qea_threshold", counting)
+    monkeypatch.setattr(advantage, "_threshold", counting)
     result = first_advantage_year(s.algorithm(classical), qpe, s)
     monkeypatch.undo()
     assert calls["solve"] >= 1
@@ -278,7 +278,7 @@ def test_default_tables_make_no_threshold_solve(monkeypatch):
         solves["solve"] += 1
         raise AssertionError("the simple-mode scan solved a threshold")
 
-    monkeypatch.setattr(advantage, "qea_threshold", no_solve)
+    monkeypatch.setattr(advantage, "_threshold", no_solve)
     for build in (
         lambda: disruption_table(s, list(QUANTUM_TABLE_METHODS), list(CLASSICAL_TABLE_METHODS)),
         lambda: robustness_table(s, standard_variations(), "qpe-n3", STOCK_ROBUSTNESS),

@@ -314,6 +314,12 @@ class TestCalibrate:
         with pytest.raises(ScenarioError, match="unsupported parameter path 'epsilon'"):
             calibrate(default_scenario(), ["epsilon"], [("FCI", "qpe-n3", year)])
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_anchor_year_past_float_range_rejected(self, sign):
+        """float(year) once raised OverflowError in the first pass."""
+        with pytest.raises(DomainError, match="anchor year of FCI:qpe-n3 is past float range"):
+            calibrate(default_scenario(), self.FREE[1:], [("FCI", "qpe-n3", sign * 10**400)])
+
     def test_bad_prefer(self):
         with pytest.raises(DomainError):
             calibrate(
