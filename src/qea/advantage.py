@@ -31,9 +31,9 @@ at the level each root lands on: in closed form against a polynomial
 classical law, by bisection in ln N against an exponential one, snapped
 below _SNAP_LIMIT so its ceiling is exactly the smallest advantageous
 integer.  It is absent iff gap(1) > 0 and the quantum law grows at least
-as fast.  The scan solves it where M >= _SNAP_LIMIT, past which no snap
-backs the endpoint test.  The curve and advantage_region read a pair's
-year as one point (_points): the threshold, then the envelope, on one view.
+as fast.  One decision per pair and year (_pair) serves the scan, the
+curve and advantage_region: it solves the threshold where M >= _SNAP_LIMIT,
+past which no snap backs the endpoint test, and first where it is reported.
 """
 
 from __future__ import annotations
@@ -111,16 +111,6 @@ class AdvantageRegion:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    year: float
-    threshold_n: float | None
-    qubit_limited_n: int
-    deadline_limited_n: int
-    max_feasible_n: int
-    region_nonempty: bool
-
-
-@dataclass(frozen=True)
 class DisruptionResult:
     """First-advantage verdict: a year, "beyond-horizon", or "never",
     plus which constraint blocked advantage in the last blocked year
@@ -147,34 +137,25 @@ def _require_polynomial(quantum: AlgorithmSpec) -> None:
             raise DomainError(f"{quantum.name!r} has an exponential {role} law; quantum laws must be polynomial")
 
 
-def _catches_up(classical: AlgorithmSpec, quantum: AlgorithmSpec) -> bool:
-    """Whether the quantum law grows slower, so a gap positive at N = 1 turns."""
-    return classical.cost_law.exp_base > 1 or quantum.cost_law.size_exponent < classical.cost_law.size_exponent
-
-
 def qea_threshold(
     classical: AlgorithmSpec, quantum: AlgorithmSpec, year: float, scenario: Scenario
 ) -> float | None:
     """Smallest real N >= 1 with quantum runtime <= classical runtime,
     or None when no such size exists (the quantum law grows at least as
     fast and is costlier per-operation already at N = 1)."""
-    log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
-    _require_polynomial(quantum)
-    return _threshold(log_t, gap, classical, quantum, scenario, scenario.quantum.at(year))
+    return _pair(classical, quantum, scenario)[0](scenario.quantum.at(year))
 
 
-def _threshold(log_t, gap, classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario, hardware):
-    """qea_threshold on the pair's _log_seconds_builder closures and a
-    year's QuantumPlatform.at view."""
-    hardware.log_rate(hardware.level(0.0))  # the quantum trends first, as the unfused difference reads them
-    c_rate = math.log(classical_throughput(scenario.classical, hardware.year))
+def _threshold(log_t, gap, catches_up: bool, classical: AlgorithmSpec, quantum: AlgorithmSpec, hardware, c_rate):
+    """The threshold solve on a pair's closures (_pair), a year's
+    QuantumPlatform.at view and that year's classical ln flops rate."""
 
     def per_n(n: float) -> float:
         return gap(n, hardware.log_rate(hardware.level(log_t(n))), c_rate)
 
     if per_n(1.0) <= 0:
         return 1.0
-    if not _catches_up(classical, quantum):
+    if not catches_up:
         return None
     # Solve at the level of N = 1, then at the level the root runs at, or
     # its ceiling if a level step lifts the gap above 0 there, until
@@ -194,10 +175,7 @@ def _threshold(log_t, gap, classical: AlgorithmSpec, quantum: AlgorithmSpec, sce
     if threshold <= _SNAP_LIMIT:
         # Snap so ceil(threshold) is exactly the smallest advantageous
         # integer, immune to the last float ulp of the root.
-        while per_n(float(k)) > 0:
-            k += 1
-        while k > 1 and per_n(float(k - 1)) <= 0:
-            k -= 1
+        k = _snap_largest(lambda n: per_n(float(n)) > 0, k - 1) + 1
         if math.ceil(threshold) != k:
             threshold = float(k)
     return threshold
@@ -372,34 +350,58 @@ def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario
     return _envelope_builder(quantum, scenario)(year, scenario.quantum.at(year))[0]
 
 
-def _points(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
-    """year -> CurvePoint for one pair: the threshold solve, then the
-    envelope, on one view of the year."""
+def _pair(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
+    """(threshold, decide) for one pair.  threshold(view) solves on a year's
+    QuantumPlatform.at view; decide(year, views, envelopes, solve_first=False)
+    reads and fills the scan's dicts and returns (threshold or None, exists,
+    envelope, nonempty), solving where M >= _SNAP_LIMIT, and first if asked."""
     log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
     build_envelope = _envelope_builder(quantum, scenario)  # checks the laws are polynomial
+    # Whether the quantum law grows slower, so a gap positive at N = 1 turns.
+    catches_up = classical.cost_law.exp_base > 1 or quantum.cost_law.size_exponent < classical.cost_law.size_exponent
 
-    def point(year: float) -> CurvePoint:
-        hardware = scenario.quantum.at(year)
-        threshold = _threshold(log_t, gap, classical, quantum, scenario, hardware)
-        envelope = build_envelope(year, hardware)[0]
-        return CurvePoint(
-            year=year,
-            threshold_n=threshold,
-            qubit_limited_n=envelope.qubit_limited_n,
-            deadline_limited_n=envelope.deadline_limited_n,
-            max_feasible_n=envelope.max_feasible_n,
-            region_nonempty=threshold is not None and math.ceil(threshold) <= envelope.max_feasible_n,
-        )
+    def c_rate_at(hardware) -> float:
+        hardware.log_rate(hardware.level(0.0))  # the quantum trends first, as the unfused difference reads them
+        return math.log(classical_throughput(scenario.classical, hardware.year))
 
-    return point
+    def solve(hardware, c_rate: float) -> float | None:
+        return _threshold(log_t, gap, catches_up, classical, quantum, hardware, c_rate)
+
+    def decide(year: float, views: dict, envelopes: dict, solve_first: bool = False):
+        hardware = views.get(year)
+        if hardware is None:
+            hardware = views[year] = scenario.quantum.at(year)
+        c_rate = c_rate_at(hardware)
+        threshold = solve(hardware, c_rate) if solve_first else None
+        if year not in envelopes:
+            envelopes[year] = build_envelope(year, hardware)
+        envelope, pieces = envelopes[year]
+        m = envelope.max_feasible_n
+        if m >= _SNAP_LIMIT:
+            if not solve_first:
+                threshold = solve(hardware, c_rate)
+            exists = threshold is not None
+            return threshold, exists, envelope, exists and math.ceil(threshold) <= m
+        # Is the gap <= 0 at an integer end of some piece, clipped to [1, m]?
+        exists = catches_up or gap(1.0, hardware.log_rate(hardware.level(log_t(1.0))), c_rate) <= 0
+        if exists:
+            for lo, hi, level in pieces:
+                if lo > m:
+                    break
+                q_rate = hardware.log_rate(level)
+                if gap(float(lo), q_rate, c_rate) <= 0 or gap(float(min(hi, m)), q_rate, c_rate) <= 0:
+                    return threshold, True, envelope, True
+        return threshold, exists, envelope, False
+
+    return (lambda hardware: solve(hardware, c_rate_at(hardware))), decide
 
 
 def advantage_region(
     classical: AlgorithmSpec, quantum: AlgorithmSpec, year: float, scenario: Scenario
 ) -> AdvantageRegion:
-    p = _points(classical, quantum, scenario)(year)
-    min_adv = None if p.threshold_n is None else math.ceil(p.threshold_n)
-    return AdvantageRegion(year, p.threshold_n, min_adv, p.max_feasible_n, p.region_nonempty)
+    threshold, _, envelope, nonempty = _pair(classical, quantum, scenario)[1](year, {}, {}, True)
+    min_adv = None if threshold is None else math.ceil(threshold)
+    return AdvantageRegion(year, threshold, min_adv, envelope.max_feasible_n, nonempty)
 
 
 def _blocking_constraint(threshold_exists: bool, envelope: FeasibilityEnvelope) -> str:
@@ -433,37 +435,11 @@ def _scan_years(
     scenario, and `views` year to its QuantumPlatform.at view; the scan
     reads both and adds what it builds, so tables that share them build
     and walk each once however many rows scan them."""
-    log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
-    build_envelope = _envelope_builder(quantum, scenario)
-    catches_up = _catches_up(classical, quantum)
+    decide = _pair(classical, quantum, scenario)[1]
     last_block = None
     any_threshold = False
     for year in scenario.years():
-        hardware = views.get(year)
-        if hardware is None:
-            hardware = views[year] = scenario.quantum.at(year)
-        # The year's trends before the envelope's, in the threshold solve's order.
-        hardware.log_rate(hardware.level(0.0))
-        c_rate = math.log(classical_throughput(scenario.classical, year))
-        if year not in envelopes:
-            envelopes[year] = build_envelope(year, hardware)
-        envelope, pieces = envelopes[year]
-        m = envelope.max_feasible_n
-        if m >= _SNAP_LIMIT:
-            threshold = _threshold(log_t, gap, classical, quantum, scenario, hardware)
-            exists = threshold is not None
-            nonempty = exists and math.ceil(threshold) <= m
-        else:  # is the gap <= 0 at an integer end of some piece, clipped to [1, m]?
-            exists = catches_up or gap(1.0, hardware.log_rate(hardware.level(log_t(1.0))), c_rate) <= 0
-            nonempty = False
-            if exists:
-                for lo, hi, level in pieces:
-                    if lo > m:
-                        break
-                    q_rate = hardware.log_rate(level)
-                    if gap(float(lo), q_rate, c_rate) <= 0 or gap(float(min(hi, m)), q_rate, c_rate) <= 0:
-                        nonempty = True
-                        break
+        _, exists, envelope, nonempty = decide(year, views, envelopes)
         any_threshold = any_threshold or exists
         if nonempty:
             constraint = "none" if last_block is None else _blocking_constraint(*last_block)

@@ -83,8 +83,11 @@ class ExponentialTrend:
     annual_factor: float
 
     def __post_init__(self):
-        if not math.isfinite(self.base_year):
-            raise DomainError(f"base_year must be finite, got {self.base_year}")
+        try:
+            if not math.isfinite(self.base_year):
+                raise DomainError(f"base_year must be finite, got {self.base_year}")
+        except OverflowError:  # math.isfinite on an int past float range
+            raise DomainError("base_year must be finite, got an int past float range") from None
         if not 0 < self.base_value < math.inf:
             raise DomainError(f"base_value must be finite and > 0, got {self.base_value}")
         if not 0 < self.annual_factor < math.inf:
@@ -93,8 +96,11 @@ class ExponentialTrend:
     def value(self, year: float) -> float:
         """The trend at `year`; DomainError where the year is not finite or
         the trend passes float range, above (overflow) or below (underflow to 0)."""
-        if not math.isfinite(year):
-            raise DomainError(f"year must be finite, got {year!r}")
+        try:
+            if not math.isfinite(year):
+                raise DomainError(f"year must be finite, got {year!r}")
+        except OverflowError:  # math.isfinite on an int past float range
+            raise DomainError("year must be finite, got an int past float range") from None
         try:
             value = self.base_value * self.annual_factor ** (year - self.base_year)
         except OverflowError:

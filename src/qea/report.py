@@ -23,7 +23,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .advantage import BEYOND_HORIZON, NEVER, CurvePoint, DisruptionResult, _points, _scan_years
+from .advantage import BEYOND_HORIZON, NEVER, DisruptionResult, _pair, _scan_years
 from .catalog import canonical_name
 from .errors import DomainError
 from .scenario import Scenario, Variation, apply_variation, scenario_digest
@@ -45,6 +45,16 @@ BASELINE_COLUMN = "baseline"
 # Most rows one curve series may hold; each row is a threshold solve and
 # an envelope, so an unbounded series would run without end.
 MAX_CURVE_POINTS = 100_000
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    year: float
+    threshold_n: float | None
+    qubit_limited_n: int
+    deadline_limited_n: int
+    max_feasible_n: int
+    region_nonempty: bool
 
 
 @dataclass(frozen=True)
@@ -138,8 +148,12 @@ def qea_curve_series(
     span = (year_to - year_from) / step + 1e-9  # inf past float range, so compared before the floor
     if not span < MAX_CURVE_POINTS:
         raise DomainError(f"curve would have more than {MAX_CURVE_POINTS} points; use a larger step")
-    point = _points(scenario.algorithm(classical), scenario.algorithm(quantum), scenario)
-    return [point(year_from + i * step) for i in range(math.floor(span) + 1)]
+    decide = _pair(scenario.algorithm(classical), scenario.algorithm(quantum), scenario)[1]
+    points = []
+    for year in (year_from + i * step for i in range(math.floor(span) + 1)):
+        threshold, _, e, nonempty = decide(year, {}, {}, True)
+        points.append(CurvePoint(year, threshold, e.qubit_limited_n, e.deadline_limited_n, e.max_feasible_n, nonempty))
+    return points
 
 
 # ---------------------------------------------------------------------------

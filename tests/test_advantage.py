@@ -119,10 +119,15 @@ class TestThreshold:
         assert qea_threshold(s.algorithm("FCI"), s.algorithm("qpe-n2"), 2025, s) == math.exp(256.0)
 
 
-@pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "year", [math.nan, math.inf, -math.inf, 10**400, -(10**400)], ids=["nan", "inf", "-inf", "1e400", "-1e400"]
+)
 def test_non_finite_year_rejected(year):
+    """An int year past float range once raised a bare OverflowError."""
     s = default_scenario()
     q = s.algorithm("qpe-n3")
+    with pytest.raises(DomainError):
+        advantage_region(s.algorithm("CCSD"), q, year, s)
     with pytest.raises(DomainError):
         qea_threshold(s.algorithm("CCSD"), q, year, s)
     with pytest.raises(DomainError):

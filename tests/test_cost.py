@@ -207,7 +207,8 @@ TREND_READERS = {
 @pytest.mark.parametrize("reader", sorted(TREND_READERS))
 def test_trend_readers_reject_a_non_finite_year(reader, flat, mode):
     """A NaN year once read as NaN, and a flat trend at inf as its base
-    value (1.0 ** inf is 1.0)."""
+    value (1.0 ** inf is 1.0).  An int year past float range once raised
+    a bare OverflowError."""
     if flat:
         s = make_scenario(classical=(2025, 1e18, 1.0), tgate=(2025, 1e5, 1.0), physical=(2024, 1.1e3, 1.0),
                           error=(2025, 1e-3, 1.0), mode=mode)
@@ -215,4 +216,7 @@ def test_trend_readers_reject_a_non_finite_year(reader, flat, mode):
         s = make_scenario(tgate=(2025, 1e5, 2.5), physical=(2024, 1.1e3, 2.4), mode=mode)
     for year in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=f"year must be finite, got {year!r}"):
+            TREND_READERS[reader](s, year)
+    for year in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match="year must be finite, got an int past float range"):
             TREND_READERS[reader](s, year)

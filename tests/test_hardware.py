@@ -48,10 +48,13 @@ class TestTrend:
             trend_value(trend, 1000)
         assert trend_value(trend, 1500) > 0
 
-    @pytest.mark.parametrize("base_year", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "base_year", [math.nan, math.inf, -math.inf, 10**400, -(10**400)], ids=["nan", "inf", "-inf", "1e400", "-1e400"]
+    )
     def test_non_finite_base_year_is_a_domain_error(self, base_year):
         # A NaN base year would make every value NaN, and NaN compares
-        # false against any bound downstream.
+        # false against any bound downstream.  An int past float range
+        # once raised a bare OverflowError in math.isfinite.
         with pytest.raises(DomainError, match="base_year must be finite"):
             ExponentialTrend(base_year, 1e18, 1.4)
 

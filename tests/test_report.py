@@ -24,8 +24,22 @@ from qea import (
     verdict_key,
     verdict_text,
 )
-from qea import advantage
+from qea import advantage, scenario_from_dict
+from qea.catalog import builtin_catalog
 from qea.report import MAX_CURVE_POINTS
+
+from test_golden import CUSTOM_DOC
+
+CATALOG_CLASSICAL = sorted(name for name, spec in builtin_catalog().items() if spec.kind == "classical")
+CATALOG_QUANTUM = sorted(name for name, spec in builtin_catalog().items() if spec.kind == "quantum")
+
+# The scenarios behind the golden digests: shipped, custom, and shipped on
+# surface-code hardware.
+GOLDEN_SCENARIOS = {
+    "default": default_scenario,
+    "custom": lambda: scenario_from_dict(CUSTOM_DOC),
+    "surface-code": lambda: scenario_from_dict({"quantum": {"mode": "surface-code"}}),
+}
 
 
 class TestDisruptionTable:
@@ -58,15 +72,23 @@ class TestDisruptionTable:
         assert render_text(tbl) == render_text(tbl)
 
     def test_each_rendered_year_cross_checks(self):
-        s = default_scenario()
-        tbl = disruption_table(s, ["qpe-n3", "qpe-n2"], ["CCSD", "CCSDT", "FCI"])
-        for (c, q), result in tbl.cells.items():
-            if not isinstance(result.verdict, int):
-                continue
-            year = result.verdict
-            assert advantage_region(s.algorithm(c), s.algorithm(q), year, s).nonempty
-            if year > s.start_year:
-                assert not advantage_region(s.algorithm(c), s.algorithm(q), year - 1, s).nonempty
+        """In every golden scenario, each catalog cell's verdict year is the
+        first nonempty curve row over [start, horizon], and no row is
+        nonempty for >HORIZON or N/A."""
+        for name, scenario in GOLDEN_SCENARIOS.items():
+            s = scenario()
+            tbl = disruption_table(s, CATALOG_QUANTUM, CATALOG_CLASSICAL)
+            for (c, q), result in tbl.cells.items():
+                rows = qea_curve_series(s, c, q, s.start_year, s.horizon)
+                first = next((p.year for p in rows if p.region_nonempty), None)
+                if not isinstance(result.verdict, int):
+                    assert first is None, (name, c, q)
+                    continue
+                year = result.verdict
+                assert first == year, (name, c, q)
+                assert advantage_region(s.algorithm(c), s.algorithm(q), year, s).nonempty
+                if year > s.start_year:
+                    assert not advantage_region(s.algorithm(c), s.algorithm(q), year - 1, s).nonempty
 
     def test_csv_shape(self):
         s = default_scenario()

@@ -21,6 +21,7 @@ import qea.cost as cost
 from qea import (
     QeaError,
     ScenarioError,
+    advantage_region,
     default_scenario,
     disruption_table,
     feasibility_envelope,
@@ -188,6 +189,62 @@ def test_scan_matches_threshold_scan(
     trends = (classical_factor, tgate_factor, physical, ratio)
     doc = _doc(c_name, q_name, c_tuning, q_tuning, trends, 10**epsilon, 10**deadline, 2050)
     _assert_scans_agree(scenario_from_dict(doc), c_name, q_name)
+
+
+@st.composite
+def _pair_docs(draw, mode):
+    """A scenario document over the same ranges as the scan comparison
+    above, in one hardware mode, with the pair it tunes."""
+    c_name, q_name = draw(st.sampled_from(CLASSICAL)), draw(st.sampled_from(QUANTUM))
+    c_tuning = {"constant": 10 ** draw(st.floats(min_value=-3.0, max_value=12.0))}
+    q_tuning = {
+        "constant": 10 ** draw(st.floats(min_value=-3.0, max_value=4.0)),
+        "fidelity": draw(st.floats(min_value=0.01, max_value=1.0)),
+        "qubit_constant": 10 ** draw(st.floats(min_value=-1.0, max_value=3.0)),
+    }
+    for tuning in (c_tuning, q_tuning):
+        if (value := draw(st.one_of(st.none(), exponent))) is not None:
+            tuning["exponent"] = value
+    trends = (
+        draw(factor),
+        draw(factor),
+        draw(st.tuples(st.floats(min_value=1.0, max_value=8.0), factor)),
+        draw(st.tuples(st.floats(min_value=0.0, max_value=4.0), factor)),
+    )
+    epsilon, deadline = 10 ** draw(st.floats(min_value=-6.0, max_value=0.0)), 10 ** draw(log10)
+    doc = _doc(c_name, q_name, c_tuning, q_tuning, trends, epsilon, deadline, 2050)
+    doc["quantum"]["mode"] = mode
+    return c_name, q_name, doc
+
+
+@pytest.mark.parametrize("mode", ["simple", "surface-code"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), year=st.floats(min_value=2020.0, max_value=2060.0))
+def test_threshold_ceiling_is_the_smallest_advantageous_size(mode, data, year):
+    """Below _SNAP_LIMIT, ceil(threshold) is the smallest integer size at
+    which the unfused runtimes favour the quantum run, and advantage_region
+    is nonempty iff that ceiling fits under feasibility_envelope."""
+    c_name, q_name, doc = data.draw(_pair_docs(mode))
+    s = scenario_from_dict(doc)
+    classical, quantum = s.algorithm(c_name), s.algorithm(q_name)
+    threshold = _outcome(lambda c, q, s: qea_threshold(c, q, year, s), classical, quantum, s)
+    region = _outcome(lambda c, q, s: advantage_region(c, q, year, s), classical, quantum, s)
+    if isinstance(threshold, tuple):  # the region solves first, so it raises the same error
+        assert region == threshold
+        return
+    envelope = feasibility_envelope(quantum, year, s)
+    assert region.nonempty == (threshold is not None and math.ceil(threshold) <= envelope.max_feasible_n)
+    if threshold is None or threshold >= advantage._SNAP_LIMIT:
+        return
+    k = math.ceil(threshold)
+
+    def gap(n):
+        n = float(n)
+        return cost.log_quantum_seconds(quantum, n, year, s) - cost.log_classical_seconds(classical, n, year, s)
+
+    assert gap(k) <= 0
+    below = {k - 1} | {2**i for i in range(k.bit_length())}
+    assert all(gap(n) > 0 for n in below if 1 <= n < k)
 
 
 def test_advantage_from_n_equals_one_when_gap_rises():
