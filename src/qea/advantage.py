@@ -143,7 +143,7 @@ def qea_threshold(
     """Smallest real N >= 1 with quantum runtime <= classical runtime,
     or None when no such size exists (the quantum law grows at least as
     fast and is costlier per-operation already at N = 1)."""
-    return _pair(classical, quantum, scenario)[0](scenario.quantum.at(year))
+    return _pair(classical, quantum, scenario)[0](year)
 
 
 def _threshold(log_t, gap, catches_up: bool, classical: AlgorithmSpec, quantum: AlgorithmSpec, hardware, c_rate):
@@ -328,8 +328,6 @@ def _envelope_builder(quantum: AlgorithmSpec, scenario: Scenario):
 def deadline_limited_size(quantum: AlgorithmSpec, year: float, deadline_s: float, scenario: Scenario) -> int:
     """Largest N whose quantum runtime fits within the deadline; 0 if
     none does."""
-    if not deadline_s > 0:
-        raise DomainError("deadline_s must be > 0")
     return feasibility_envelope(quantum, year, replace(scenario, deadline_s=deadline_s)).deadline_limited_n
 
 
@@ -351,27 +349,27 @@ def feasibility_envelope(quantum: AlgorithmSpec, year: float, scenario: Scenario
 
 
 def _pair(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
-    """(threshold, decide) for one pair.  threshold(view) solves on a year's
-    QuantumPlatform.at view; decide(year, views, envelopes, solve_first=False)
-    reads and fills the scan's dicts and returns (threshold or None, exists,
-    envelope, nonempty), solving where M >= _SNAP_LIMIT, and first if asked."""
+    """(threshold, decide) for one pair.  views[year] is a year's (QuantumPlatform.at
+    view, classical ln flops rate), which view() reads and stores on first use.
+    threshold(year) solves on fresh views; decide(year, views, envelopes,
+    solve_first=False) fills the scan's dicts and returns (threshold or None,
+    exists, envelope, nonempty), solving where M >= _SNAP_LIMIT, first if asked."""
     log_t, gap = _log_seconds_builder(quantum, scenario, classical)  # checks both kinds
     build_envelope = _envelope_builder(quantum, scenario)  # checks the laws are polynomial
     # Whether the quantum law grows slower, so a gap positive at N = 1 turns.
     catches_up = classical.cost_law.exp_base > 1 or quantum.cost_law.size_exponent < classical.cost_law.size_exponent
 
-    def c_rate_at(hardware) -> float:
+    def view(year: float, views: dict):
+        hardware = scenario.quantum.at(year)
         hardware.log_rate(hardware.level(0.0))  # the quantum trends first, as the unfused difference reads them
-        return math.log(classical_throughput(scenario.classical, hardware.year))
+        views[year] = hardware, math.log(classical_throughput(scenario.classical, year))
+        return views[year]
 
     def solve(hardware, c_rate: float) -> float | None:
         return _threshold(log_t, gap, catches_up, classical, quantum, hardware, c_rate)
 
     def decide(year: float, views: dict, envelopes: dict, solve_first: bool = False):
-        hardware = views.get(year)
-        if hardware is None:
-            hardware = views[year] = scenario.quantum.at(year)
-        c_rate = c_rate_at(hardware)
+        hardware, c_rate = views.get(year) or view(year, views)
         threshold = solve(hardware, c_rate) if solve_first else None
         if year not in envelopes:
             envelopes[year] = build_envelope(year, hardware)
@@ -393,7 +391,7 @@ def _pair(classical: AlgorithmSpec, quantum: AlgorithmSpec, scenario: Scenario):
                     return threshold, True, envelope, True
         return threshold, exists, envelope, False
 
-    return (lambda hardware: solve(hardware, c_rate_at(hardware))), decide
+    return (lambda year: solve(*view(year, {}))), decide
 
 
 def advantage_region(

@@ -12,8 +12,8 @@ through CCSD(T), exp_base = 1) and full configuration interaction
 operations, quantum laws in logical T gates.
 
 The built-in catalog pins one representative asymptotic law per method.
-Several entries are tagged "catalog-only": they can be priced with the
-cost operations but are excluded from the default disruption tables.
+The default disruption tables name theirs (CLASSICAL_TABLE_METHODS,
+QUANTUM_TABLE_METHODS); every entry can be priced and named on request.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class AlgorithmSpec:
     cost_law: ComplexityModel
     qubit_law: ComplexityModel | None = None
     initial_state_fidelity: float = 1.0
-    tags: str = ""
 
     def __post_init__(self):
         if self.kind not in ("classical", "quantum"):
@@ -143,10 +142,6 @@ class AlgorithmSpec:
             raise DomainError(f"classical spec {self.name!r} must not have a qubit_law")
         if not 0 < self.initial_state_fidelity <= 1:
             raise DomainError("initial_state_fidelity must be in (0, 1]")
-
-    @property
-    def catalog_only(self) -> bool:
-        return "catalog-only" in self.tags
 
 
 # Default overhead of logical qubits over basis functions: resource
@@ -159,26 +154,20 @@ DEFAULT_QUBIT_CONSTANT = 10.0
 DEFAULT_DMRG_BOND_DIMENSION = 1000.0
 
 
-def _qubit_law() -> ComplexityModel:
-    return ComplexityModel(constant=DEFAULT_QUBIT_CONSTANT, size_exponent=1.0)
-
-
-def _classical(name, exponent, exp_base=1.0, constant=1.0, tags=""):
+def _classical(name, exponent, exp_base=1.0, constant=1.0):
     return AlgorithmSpec(
         name=name,
         kind="classical",
         cost_law=ComplexityModel(constant=constant, size_exponent=exponent, exp_base=exp_base),
-        tags=tags,
     )
 
 
-def _quantum(name, exponent, tags=""):
+def _quantum(name, exponent):
     return AlgorithmSpec(
         name=name,
         kind="quantum",
         cost_law=ComplexityModel(size_exponent=exponent, inv_error_exponent=1.0),
-        qubit_law=_qubit_law(),
-        tags=tags,
+        qubit_law=ComplexityModel(constant=DEFAULT_QUBIT_CONSTANT, size_exponent=1.0),
     )
 
 
@@ -192,16 +181,16 @@ _CATALOG: dict[str, AlgorithmSpec] = {
         _classical("CCSD", 6.0),
         _classical("CCSD(T)", 7.0),
         _classical("FCI", 0.0, exp_base=4.0),
-        # Catalog-only classical methods: priced but excluded from tables.
-        _classical("DMRG", 3.0, constant=DEFAULT_DMRG_BOND_DIMENSION**3, tags="catalog-only"),
-        _classical("VMC", 3.5, tags="catalog-only"),
+        # Classical methods priced but not in the default tables.
+        _classical("DMRG", 3.0, constant=DEFAULT_DMRG_BOND_DIMENSION**3),
+        _classical("VMC", 3.5),
         # Phase-estimation T-gate laws, all ~1/eps and 10 N logical qubits.
         _quantum("qpe-n5", 5.0),
         _quantum("qpe-n3", 3.0),
         _quantum("qpe-n2", 2.0),
         # First-quantized variant: Ne^(8/3) N^(1/3) collapses to N^3 under
-        # the half-filled substitution Ne = N.
-        _quantum("qpe-first-quant", 3.0, tags="catalog-only"),
+        # the half-filled substitution Ne = N.  Not in the default tables.
+        _quantum("qpe-first-quant", 3.0),
     ]
 }
 

@@ -49,6 +49,9 @@ from .report import (
     robustness_table,
 )
 from .scenario import (
+    DEFAULT_EPSILON,
+    DEFAULT_HORIZON,
+    DEFAULT_START_YEAR,
     Scenario,
     Variation,
     calibrate as run_calibration,
@@ -176,8 +179,8 @@ def robustness(scenario_path, quantum, classical, vary_specs, fmt, out):
 @_scenario_option
 @click.option("--classical", required=True)
 @click.option("--quantum", required=True)
-@click.option("--from", "year_from", type=float, default=2025.0, show_default=True)
-@click.option("--to", "year_to", type=float, default=2050.0, show_default=True)
+@click.option("--from", "year_from", type=float, default=float(DEFAULT_START_YEAR), show_default=True)
+@click.option("--to", "year_to", type=float, default=float(DEFAULT_HORIZON), show_default=True)
 @click.option("--step", type=float, default=1.0, show_default=True)
 @_format_option
 @_out_option
@@ -251,7 +254,7 @@ def constant(time_s, peak_flops, n, exponent, fmt, out):
 @cli.command()
 @click.option("--n", type=int, required=True)
 @click.option("--exponent", type=float, required=True)
-@click.option("--epsilon", type=float, default=1e-3, show_default=True)
+@click.option("--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True)
 @_format_option
 @_out_option
 def tgates(n, exponent, epsilon, fmt, out):

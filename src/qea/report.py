@@ -35,6 +35,8 @@ __all__ = [
     "disruption_table",
     "robustness_table",
     "qea_curve_series",
+    "curve_csv",
+    "curve_text",
     "verdict_text",
     "render_csv",
     "render_text",
@@ -86,8 +88,8 @@ def _verdict_cells(classical_names: tuple[str, ...], columns: list[tuple]) -> di
     """The year scan of each (classical, column name) cell, row by row, for
     columns (name, scenario, quantum spec).  Each method is resolved once
     per distinct column scenario.  Columns differ in algorithm tunings
-    only, never in the hardware, so equal quantum specs share envelopes
-    and every cell shares the hardware's yearly views."""
+    only, never in a trend, so equal quantum specs share envelopes and
+    every cell shares the year views (hardware, classical rate)."""
     envelopes, views = {q_spec: {} for _, _, q_spec in columns}, {}
     c_specs, cells = {}, {}
     for c in classical_names:

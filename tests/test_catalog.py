@@ -15,6 +15,7 @@ from qea import (
     fci_dimension,
     lookup,
 )
+from qea.catalog import CLASSICAL_TABLE_METHODS, QUANTUM_TABLE_METHODS
 
 
 class TestEvalComplexity:
@@ -151,9 +152,11 @@ class TestCatalog:
 
     def test_catalog_only_entries(self):
         catalog = builtin_catalog()
-        assert catalog["DMRG"].catalog_only
-        assert catalog["VMC"].catalog_only
-        assert catalog["qpe-first-quant"].catalog_only
+        for name in ("DMRG", "VMC", "qpe-first-quant"):
+            assert name in catalog
+            assert name not in CLASSICAL_TABLE_METHODS and name not in QUANTUM_TABLE_METHODS
+        with pytest.raises(TypeError):  # no tags field: the tables name their methods
+            AlgorithmSpec("DMRG", "classical", ComplexityModel(), tags="catalog-only")
         # DMRG: N^3 with the default bond dimension folded into the constant.
         assert catalog["DMRG"].cost_law.constant == 1e9
         assert catalog["DMRG"].cost_law.size_exponent == 3.0

@@ -7,8 +7,15 @@ import sys
 
 import pytest
 
-from qea.cli import main
-from qea.scenario import default_scenario, dump_scenario, scenario_from_dict
+from qea.cli import cli, main
+from qea.scenario import (
+    DEFAULT_EPSILON,
+    DEFAULT_HORIZON,
+    DEFAULT_START_YEAR,
+    default_scenario,
+    dump_scenario,
+    scenario_from_dict,
+)
 
 
 def run(capsys, *argv):
@@ -463,3 +470,21 @@ def test_classical_method_as_quantum_names_its_kind(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and "'FCI' is not a quantum method" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, shown, value",
+    [
+        ("curve", "--from FLOAT", "2025.0", float(DEFAULT_START_YEAR)),
+        ("curve", "--to FLOAT", "2050.0", float(DEFAULT_HORIZON)),
+        ("tgates", "--epsilon FLOAT", "0.001", DEFAULT_EPSILON),
+    ],
+)
+def test_option_default_is_the_engine_constant(capsys, command, option, shown, value):
+    """The help text shows each default as before, and it is the
+    scenario module's constant."""
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert re.search(rf"{re.escape(option)}\s+\[default: {re.escape(shown)}\]", out)
+    param = next(p for p in cli.commands[command].params if p.opts[0] == option.split()[0])
+    assert param.default == value == float(shown)
